@@ -25,6 +25,8 @@ namespace ires {
 ///                                           and gauge under health_mu_)
 ///   ModelLibraryMap -> ModelLibraryPair    (SaveToDirectory iterates pairs
 ///                                           under the map lock)
+///   ModelLibraryPair -> ModelRefits        (refit queue accounting under
+///                                           the pair lock)
 ///   scheduler gate -> inject -> park       (Enqueue's fixed internal chain)
 ///   anything -> MetricsRegistry -> (none)  (registration is a leaf; only
 ///                                           the Logger ranks below it)
@@ -69,6 +71,10 @@ enum class LockRank : int {
   kModelLibraryMap = 450,
   /// ModelLibrary per-(algorithm,engine) estimator lock.
   kModelLibraryPair = 500,
+  /// ModelLibrary background-refit drain latch (in-flight count + idle
+  /// condvar). Taken under a pair lock when a refit is queued or takes its
+  /// window; nothing is acquired under it.
+  kModelRefits = 510,
   /// EngineRegistry breaker state; journals transitions and registers
   /// gauges while held.
   kEngineRegistry = 550,

@@ -22,6 +22,17 @@ const char* DagSizeBucket(size_t nodes) {
   return "17+";
 }
 
+std::unique_ptr<TaskScheduler> MakeScheduler(const IresServer::Config& config,
+                                             MetricsRegistry* metrics,
+                                             EventJournal* journal) {
+  TaskScheduler::Options options;
+  options.workers = config.scheduler_workers;
+  options.metrics = metrics;
+  options.journal = journal;
+  options.clock = config.scheduler_clock;
+  return std::make_unique<TaskScheduler>(std::move(options));
+}
+
 }  // namespace
 
 Result<OperatorRunEstimate> ModelBasedCostEstimator::Estimate(
@@ -67,14 +78,9 @@ const char* ArtifactKindName(ArtifactKind kind) {
 IresServer::IresServer(Config config)
     : config_(config),
       drift_(DriftObservatory::Options(), &metrics_),
-      slo_(&metrics_) {
-  TaskScheduler::Options sched_options;
-  sched_options.workers = config.scheduler_workers;
-  sched_options.metrics = &metrics_;
-  sched_options.journal = &journal_;
-  sched_options.clock = config.scheduler_clock;
-  scheduler_ = std::make_unique<TaskScheduler>(std::move(sched_options));
-
+      slo_(&metrics_),
+      scheduler_(MakeScheduler(config, &metrics_, &journal_)),
+      models_(scheduler_.get(), &metrics_) {
   engines_ = MakeStandardEngineRegistry();
   engines_->EnableMetrics(&metrics_);
   engines_->EnableJournal(&journal_);
@@ -453,18 +459,13 @@ void IresServer::ObserveDrift(const ExecutionPlan& plan,
     const bool newly_flagged = drift_.Observe(
         step.algorithm, step.engine, step.estimated_seconds, actual, job_id);
     if (!newly_flagged) continue;
-    // High drift means the estimator's view of this pair is stale; force a
-    // refit from its sample window right now instead of waiting for the
-    // periodic refit interval.
-    ModelLibrary::OperatorModels* models =
-        models_.Get(step.algorithm, step.engine);
-    if (models != nullptr) {
-      MutexLock lock(models->mu);
-      (void)models->exec_time.Refit();
-    }
+    // High drift means the estimator's view of this pair is stale; queue a
+    // refit from its sample window now instead of waiting for the periodic
+    // refit interval.
+    models_.ForceRefit(step.algorithm, step.engine);
     metrics_
         .GetCounter("ires_model_refit_forced_total",
-                    "Forced exec-time refits triggered by drift flagging.",
+                    "Forced exec-time refits queued by drift flagging.",
                     {{"engine", step.engine}})
         ->Increment();
   }
@@ -477,6 +478,7 @@ void IresServer::ObserveDrift(const ExecutionPlan& plan,
 OnlineEstimator* IresServer::estimator(
     const std::string& algorithm,
     const std::string& engine) NO_THREAD_SAFETY_ANALYSIS {
+  models_.WaitForRefits();
   return &models_.Get(algorithm, engine)->exec_time;
 }
 

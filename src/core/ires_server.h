@@ -262,18 +262,21 @@ class IresServer {
 
   /// The shared work-stealing execution substrate. One instance per server:
   /// JobService dispatch, the SQL optimizer's DPccp enumeration, planner
-  /// fan-out and NSGA-II evaluation all run here, so a busy subsystem can
-  /// soak up the workers an idle one isn't using.
+  /// fan-out, NSGA-II evaluation and model refits all run here, so a busy
+  /// subsystem can soak up the workers an idle one isn't using.
   TaskScheduler& scheduler() { return *scheduler_; }
 
   /// The refined execution-time estimator for one (algorithm, engine)
-  /// pair, created on first use. Inspection accessor: bypasses the
-  /// per-pair model lock, so it is only safe while no concurrent
-  /// ObserveRun/Refit can touch the pair (tests, offline tools).
+  /// pair, created on first use. Inspection accessor: it first waits for
+  /// in-flight background refits, then bypasses the per-pair model lock, so
+  /// it is only safe while no concurrent ObserveRun/Refit can touch the
+  /// pair (tests, offline tools).
   OnlineEstimator* estimator(const std::string& algorithm,
                              const std::string& engine);
 
-  /// The full multi-metric model library.
+  /// The full multi-metric model library. Its refits run as `model.refit`
+  /// tasks on scheduler(); destroying the server waits for them before the
+  /// scheduler joins.
   ModelLibrary& models() { return models_; }
 
   /// Persists / restores the model library (profiling samples + refits),
@@ -290,8 +293,8 @@ class IresServer {
   void RefineFromReport(const ExecutionPlan& plan,
                         const ExecutionReport& report);
   /// Feeds every completed operator step's (predicted, actual) time into
-  /// the drift observatory; newly flagged pairs get an immediate forced
-  /// refit of their exec-time estimator.
+  /// the drift observatory; newly flagged pairs get a forced refit of their
+  /// exec-time estimator queued.
   void ObserveDrift(const ExecutionPlan& plan, const ExecutionReport& report,
                     const std::string& job_id);
   void RecordExecutionMetrics(const ExecutionPlan& plan,
@@ -310,6 +313,9 @@ class IresServer {
   /// Declared right after the telemetry it reports into and before every
   /// component that executes on it — destroyed (joined) after them all.
   std::unique_ptr<TaskScheduler> scheduler_;
+  /// Refits on scheduler_, so declared after it: the library's destructor
+  /// waits for its refits before the scheduler joins.
+  ModelLibrary models_;
   OperatorLibrary library_;
   std::unique_ptr<EngineRegistry> engines_;
   std::unique_ptr<ClusterSimulator> cluster_;
@@ -319,7 +325,6 @@ class IresServer {
   std::unique_ptr<Enforcer> enforcer_;
   std::unique_ptr<ExecutionMonitor> monitor_;
   std::unique_ptr<NsgaResourceProvisioner> provisioner_;
-  ModelLibrary models_;
   std::unique_ptr<ModelBasedCostEstimator> model_estimator_;
   std::unique_ptr<PlanCache> plan_cache_;
   /// Distinguishes per-run enforcer noise streams across concurrent jobs.

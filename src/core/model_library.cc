@@ -1,5 +1,6 @@
 #include "core/model_library.h"
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +26,30 @@ OnlineEstimator* MetricEstimator(ModelLibrary::OperatorModels* models,
 }
 
 }  // namespace
+
+ModelLibrary::ModelLibrary(TaskScheduler* scheduler, MetricsRegistry* metrics)
+    : scheduler_(scheduler) {
+  if (metrics == nullptr) return;
+  refit_seconds_ = metrics->GetHistogram(
+      "ires_model_refit_seconds",
+      "Background model refit time: cross-validated fit of one estimator "
+      "window, off the request path.");
+  const std::string help =
+      "Background model refits by outcome: installed, superseded (a newer "
+      "window's model was already installed) or failed.";
+  refits_installed_ = metrics->GetCounter("ires_model_refits_total", help,
+                                          {{"outcome", "installed"}});
+  refits_superseded_ = metrics->GetCounter("ires_model_refits_total", help,
+                                           {{"outcome", "superseded"}});
+  refits_failed_ = metrics->GetCounter("ires_model_refits_total", help,
+                                       {{"outcome", "failed"}});
+  refits_pending_ = metrics->GetGauge(
+      "ires_model_refits_pending",
+      "Background model refit tasks queued and not started; coalescing "
+      "keeps it at most one per estimator.");
+}
+
+ModelLibrary::~ModelLibrary() { WaitForRefits(); }
 
 ModelLibrary::OperatorModels* ModelLibrary::Get(const std::string& algorithm,
                                                 const std::string& engine) {
@@ -52,15 +77,129 @@ double ModelLibrary::ObserveRun(const std::string& algorithm,
                                 double output_records) {
   OperatorModels* models = Get(algorithm, engine);
   const Vector features = Profiler::FeatureVector(request);
+  const double targets[3] = {actual_seconds, output_bytes, output_records};
   double exec_time_error = 0.0;
+  bool submit[3] = {false, false, false};
   {
     MutexLock lock(models->mu);
-    exec_time_error = models->exec_time.Observe(features, actual_seconds);
-    models->output_bytes.Observe(features, output_bytes);
-    models->output_records.Observe(features, output_records);
+    for (int metric = 0; metric < 3; ++metric) {
+      OnlineEstimator* estimator = MetricEstimator(models, metric);
+      const double error = estimator->Append(features, targets[metric]);
+      if (metric == 0) exec_time_error = error;
+      if (estimator->refit_due()) {
+        submit[metric] = QueueRefitLocked(models, metric);
+      }
+    }
   }
-  version_.fetch_add(1, std::memory_order_acq_rel);
+  for (int metric = 0; metric < 3; ++metric) {
+    if (submit[metric]) SubmitRefit(models, metric);
+  }
   return exec_time_error;
+}
+
+void ModelLibrary::ForceRefit(const std::string& algorithm,
+                              const std::string& engine) {
+  OperatorModels* models = Get(algorithm, engine);
+  {
+    MutexLock lock(models->mu);
+    if (models->exec_time.sample_count() == 0 ||
+        !QueueRefitLocked(models, 0)) {
+      return;
+    }
+  }
+  SubmitRefit(models, 0);
+}
+
+bool ModelLibrary::QueueRefitLocked(OperatorModels* models, int metric) {
+  std::optional<OnlineEstimator::RefitInput>& slot =
+      models->queued_refit[metric];
+  const bool new_task = !slot.has_value();
+  slot = MetricEstimator(models, metric)->BeginRefit();
+  if (new_task) {
+    MutexLock lock(refit_mu_);
+    ++refits_in_flight_;
+    ++refits_queued_;
+    if (refits_pending_ != nullptr) {
+      refits_pending_->Set(static_cast<double>(refits_queued_));
+    }
+  }
+  return new_task;
+}
+
+void ModelLibrary::SubmitRefit(OperatorModels* models, int metric) {
+  auto task = [this, models, metric] { RunRefit(models, metric); };
+  if (scheduler_ == nullptr || !scheduler_->Submit(task, "model.refit")) {
+    task();
+  }
+}
+
+void ModelLibrary::RunRefit(OperatorModels* models, int metric) {
+  OnlineEstimator::RefitInput input;
+  bool superseded = false;
+  {
+    MutexLock lock(models->mu);
+    std::optional<OnlineEstimator::RefitInput>& slot =
+        models->queued_refit[metric];
+    // QueueRefitLocked filled the slot before submitting this task.
+    input = std::move(slot).value_or(OnlineEstimator::RefitInput());
+    slot.reset();
+    // A synchronous Refit/ImportSamples may already cover this window.
+    superseded = input.generation <=
+                 MetricEstimator(models, metric)->model_generation();
+    MutexLock refit_lock(refit_mu_);
+    --refits_queued_;
+    if (refits_pending_ != nullptr) {
+      refits_pending_->Set(static_cast<double>(refits_queued_));
+    }
+  }
+  Counter* outcome = refits_superseded_;
+  if (!superseded) {
+    const auto start = std::chrono::steady_clock::now();
+    auto fitted = input.Fit();
+    if (refit_seconds_ != nullptr) {
+      refit_seconds_->Observe(std::chrono::duration<double>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count());
+    }
+    if (!fitted.ok()) {
+      outcome = refits_failed_;  // the previous model stays
+    } else {
+      bool installed = false;
+      {
+        MutexLock lock(models->mu);
+        installed = MetricEstimator(models, metric)
+                        ->Install(input.generation, std::move(fitted).value());
+      }
+      if (installed) {
+        version_.fetch_add(1, std::memory_order_acq_rel);
+        outcome = refits_installed_;
+      }
+    }
+  }
+  if (outcome != nullptr) outcome->Increment();
+  MutexLock lock(refit_mu_);
+  --refits_in_flight_;
+  // Notified under the latch: a drained waiter may destroy the library as
+  // soon as it can reacquire it.
+  if (refits_in_flight_ == 0) refits_idle_.notify_all();
+}
+
+void ModelLibrary::WaitForRefits() const {
+  MutexLock lock(refit_mu_);
+  // Analysis waiver: the predicate runs with refit_mu_ held (the cv
+  // reacquires it before every evaluation), but the lambda is a separate
+  // function the analysis cannot see that from.
+  refits_idle_.wait(refit_mu_, [this]() NO_THREAD_SAFETY_ANALYSIS {
+    return refits_in_flight_ == 0;
+  });
+}
+
+bool ModelLibrary::WaitForRefits(double timeout_seconds) const {
+  MutexLock lock(refit_mu_);
+  // Analysis waiver: as in WaitForRefits() above.
+  return refits_idle_.wait_for(
+      refit_mu_, std::chrono::duration<double>(timeout_seconds),
+      [this]() NO_THREAD_SAFETY_ANALYSIS { return refits_in_flight_ == 0; });
 }
 
 size_t ModelLibrary::size() const {
@@ -135,11 +274,15 @@ Status ModelLibrary::LoadFromDirectory(const std::string& dir) {
     }
     OperatorModels* models = Get(algorithm, engine);
     // A failed refit (e.g. too few samples) still keeps the samples.
+    bool refitted = false;
     {
       MutexLock lock(models->mu);
-      (void)MetricEstimator(models, metric)->ImportSamples(samples);
+      OnlineEstimator* estimator = MetricEstimator(models, metric);
+      const uint64_t before = estimator->model_generation();
+      (void)estimator->ImportSamples(samples);
+      refitted = estimator->model_generation() != before;
     }
-    version_.fetch_add(1, std::memory_order_acq_rel);
+    if (refitted) version_.fetch_add(1, std::memory_order_acq_rel);
   }
   return Status::OK();
 }

@@ -17,43 +17,78 @@ double OnlineEstimator::RelativeError(const Vector& features,
 }
 
 double OnlineEstimator::Observe(const Vector& features, double actual) {
-  const double err = RelativeError(features, actual);
+  const double err = Append(features, actual);
+  if (refit_due()) (void)Refit();  // a failed refit keeps the previous model
+  return err;
+}
+
+void OnlineEstimator::Retain(const Vector& features, double actual) {
   features_.push_back(features);
   targets_.push_back(actual);
   while (features_.size() > options_.window) {
     features_.pop_front();
     targets_.pop_front();
   }
+  ++generation_;
+}
+
+double OnlineEstimator::Append(const Vector& features, double actual) {
+  const double err = RelativeError(features, actual);
+  Retain(features, actual);
   // Running mean over the window; the fallback predictor before any fit.
   double sum = 0.0;
   for (double t : targets_) sum += t;
   running_mean_ = sum / static_cast<double>(targets_.size());
-
   ++since_fit_;
-  const bool due = since_fit_ >= options_.refit_interval;
-  if (features_.size() >= options_.min_samples &&
-      (due || model_ == nullptr)) {
-    (void)Refit();  // a failed refit keeps the previous model
-  }
   return err;
+}
+
+bool OnlineEstimator::refit_due() const {
+  return features_.size() >= options_.min_samples &&
+         (since_fit_ >= options_.refit_interval ||
+          (model_ == nullptr && !refit_begun_));
+}
+
+OnlineEstimator::RefitInput OnlineEstimator::Snapshot() const {
+  RefitInput input;
+  for (size_t i = 0; i < features_.size(); ++i) {
+    input.x.AppendRow(features_[i]);
+    input.y.push_back(targets_[i]);
+  }
+  input.generation = generation_;
+  input.cv_folds = options_.cv_folds;
+  input.seed = options_.seed;
+  return input;
+}
+
+Result<std::unique_ptr<Model>> OnlineEstimator::RefitInput::Fit() const {
+  return CrossValidationSelector(cv_folds, seed).SelectAndFit(x, y);
 }
 
 Status OnlineEstimator::Refit() {
   if (features_.empty()) {
     return Status::FailedPrecondition("no samples to fit");
   }
-  Matrix x;
-  Vector y;
-  for (size_t i = 0; i < features_.size(); ++i) {
-    x.AppendRow(features_[i]);
-    y.push_back(targets_[i]);
-  }
-  CrossValidationSelector selector(options_.cv_folds, options_.seed);
-  auto fitted = selector.SelectAndFit(x, y);
+  auto fitted = Snapshot().Fit();
   if (!fitted.ok()) return fitted.status();
   model_ = std::move(fitted).value();
+  model_generation_ = generation_;
   since_fit_ = 0;
   return Status::OK();
+}
+
+OnlineEstimator::RefitInput OnlineEstimator::BeginRefit() {
+  since_fit_ = 0;
+  refit_begun_ = true;
+  return Snapshot();
+}
+
+bool OnlineEstimator::Install(uint64_t generation,
+                              std::unique_ptr<Model> model) {
+  if (generation <= model_generation_) return false;
+  model_ = std::move(model);
+  model_generation_ = generation;
+  return true;
 }
 
 std::vector<OnlineEstimator::Sample> OnlineEstimator::ExportSamples() const {
@@ -66,14 +101,7 @@ std::vector<OnlineEstimator::Sample> OnlineEstimator::ExportSamples() const {
 }
 
 Status OnlineEstimator::ImportSamples(const std::vector<Sample>& samples) {
-  for (const Sample& sample : samples) {
-    features_.push_back(sample.features);
-    targets_.push_back(sample.target);
-    while (features_.size() > options_.window) {
-      features_.pop_front();
-      targets_.pop_front();
-    }
-  }
+  for (const Sample& sample : samples) Retain(sample.features, sample.target);
   if (!targets_.empty()) {
     double sum = 0.0;
     for (double t : targets_) sum += t;
@@ -89,6 +117,9 @@ void OnlineEstimator::Reset() {
   model_.reset();
   running_mean_ = 0.0;
   since_fit_ = 0;
+  refit_begun_ = false;
+  // Fits begun before the reset must not resurrect the discarded window.
+  model_generation_ = ++generation_;
 }
 
 }  // namespace ires

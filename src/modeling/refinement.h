@@ -1,6 +1,7 @@
 #ifndef IRES_MODELING_REFINEMENT_H_
 #define IRES_MODELING_REFINEMENT_H_
 
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
@@ -49,6 +50,49 @@ class OnlineEstimator {
   /// Forces an immediate refit (used after bulk offline profiling).
   Status Refit();
 
+  // ---- Refits off the caller's thread --------------------------------------
+  // Observe = Append + (refit_due() ? Refit()). A caller that must not pay
+  // for the fit splits it: Append, and when refit_due(), BeginRefit under
+  // its lock, RefitInput::Fit with no lock held, then Install under the lock
+  // again. Installing the fit of the newest BeginRefit leaves the estimator
+  // bit-identical to one fed the same observations through Observe.
+
+  /// Records an observed execution without refitting. Returns the
+  /// pre-absorption relative error.
+  double Append(const Vector& features, double actual);
+
+  /// True when a refit is due: enough samples, and either refit_interval
+  /// samples since the last (begun) refit or no model and none begun.
+  bool refit_due() const;
+
+  /// A copy of the window, self-contained so it can be fitted with no lock
+  /// held.
+  struct RefitInput {
+    Matrix x;
+    Vector y;
+    /// Window generation the copy reflects; Install orders by it.
+    uint64_t generation = 0;
+    int cv_folds = 3;
+    uint64_t seed = 43;
+
+    /// Cross-validated model selection on the copy (what Refit runs).
+    Result<std::unique_ptr<Model>> Fit() const;
+  };
+
+  /// Copies the window for an off-lock refit and restarts the refit
+  /// interval, as a successful synchronous Refit does.
+  RefitInput BeginRefit();
+
+  /// Installs `model`, fitted on the window of `generation`, unless the
+  /// installed model already reflects that window or a newer one (a refit
+  /// that finished late, or one overtaken by Refit/ImportSamples/Reset).
+  /// Returns whether it was installed.
+  bool Install(uint64_t generation, std::unique_ptr<Model> model);
+
+  /// The generation of the installed model's window; Reset raises it to
+  /// the current generation, so fits begun before the reset never install.
+  uint64_t model_generation() const { return model_generation_; }
+
   /// Drops every retained sample and the fitted model — the "discard models
   /// and start from scratch" strategy the paper argues against.
   void Reset();
@@ -73,12 +117,21 @@ class OnlineEstimator {
   Status ImportSamples(const std::vector<Sample>& samples);
 
  private:
+  void Retain(const Vector& features, double actual);
+  RefitInput Snapshot() const;
+
   Options options_;
   std::deque<Vector> features_;
   std::deque<double> targets_;
   size_t since_fit_ = 0;
   double running_mean_ = 0.0;
   std::unique_ptr<Model> model_;
+  /// Bumped by every retained sample and by Reset.
+  uint64_t generation_ = 0;
+  uint64_t model_generation_ = 0;
+  /// Set by BeginRefit: the first model is on its way, so "no model yet"
+  /// stops making every further sample due.
+  bool refit_begun_ = false;
 };
 
 }  // namespace ires

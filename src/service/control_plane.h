@@ -193,6 +193,8 @@ class ControlPlane {
   }
   ControlPlaneChaos* chaos() { return chaos_.get(); }
 
+  /// Blocks until every replica is idle, model refits included (see
+  /// JobService::WaitForIdle), or `timeout_seconds` elapses.
   bool WaitForIdle(double timeout_seconds) const;
 
  private:

@@ -561,17 +561,28 @@ JobService::Stats JobService::stats() const {
 }
 
 bool JobService::WaitForIdle(double timeout_seconds) const {
-  MutexLock lock(mu_);
-  // condition_variable_any waits on the Mutex itself, so the rank registry
-  // tracks the release/reacquire cycles inside the wait.
-  // Analysis waiver: the predicate runs with mu_ held (the cv reacquires
-  // it before every evaluation), but the lambda is a separate function the
-  // analysis cannot see that from.
-  return idle_.wait_for(
-      mu_, std::chrono::duration<double>(timeout_seconds),
-      [this]() NO_THREAD_SAFETY_ANALYSIS {
-        return queued_ == 0 && active_ == 0;
-      });
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(timeout_seconds));
+  {
+    MutexLock lock(mu_);
+    // condition_variable_any waits on the Mutex itself, so the rank
+    // registry tracks the release/reacquire cycles inside the wait.
+    // Analysis waiver: the predicate runs with mu_ held (the cv reacquires
+    // it before every evaluation), but the lambda is a separate function
+    // the analysis cannot see that from.
+    if (!idle_.wait_until(mu_, deadline, [this]() NO_THREAD_SAFETY_ANALYSIS {
+          return queued_ == 0 && active_ == 0;
+        })) {
+      return false;
+    }
+  }
+  // Finished jobs leave their model refits behind; idle includes them.
+  return server_->models().WaitForRefits(
+      std::chrono::duration<double>(deadline -
+                                    std::chrono::steady_clock::now())
+          .count());
 }
 
 void JobService::Shutdown() {

@@ -257,8 +257,9 @@ class JobService {
 
   const Options& options() const { return options_; }
 
-  /// Blocks until no job is QUEUED/PLANNING/RUNNING or `timeout_seconds`
-  /// elapses; returns true when idle was reached. Test/benchmark helper.
+  /// Blocks until no job is QUEUED/PLANNING/RUNNING and the model refits
+  /// finished jobs queued have completed, or `timeout_seconds` elapses;
+  /// returns true when idle was reached. Test/benchmark helper.
   bool WaitForIdle(double timeout_seconds) const EXCLUDES(mu_);
 
   /// Stops admitting work, cancels queued jobs and joins the workers.

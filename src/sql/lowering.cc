@@ -139,7 +139,10 @@ Status EnsureTableDataset(const Catalog& catalog, const std::string& table,
   Dataset dataset(name, meta);
   dataset.set_size_bytes(def->bytes());
   dataset.set_record_count(def->rows);
-  return library->AddDataset(std::move(dataset));
+  const Status added = library->AddDataset(std::move(dataset));
+  // A concurrent first request registered the same deterministic dataset
+  // between the lookup above and the add.
+  return added.code() == StatusCode::kAlreadyExists ? Status::OK() : added;
 }
 
 Result<LoweredWorkflow> LowerSqlPlan(const Query& query, const SqlPlan& plan,
@@ -168,7 +171,9 @@ Result<LoweredWorkflow> LowerSqlPlan(const Query& query, const SqlPlan& plan,
 
     // Per-instance abstract operator, engine-pinned to MuSQLE's choice.
     // First sighting of a shape registers them; later sightings find them
-    // already present and leave the library version untouched.
+    // already present and leave the library version untouched. Concurrent
+    // first sightings race to add the same deterministic abstract, and the
+    // loser treats AlreadyExists like a later sighting does.
     if (library->FindAbstractByName(op_name) == nullptr) {
       const int inputs =
           node.children.empty() ? 1 : static_cast<int>(node.children.size());
@@ -178,9 +183,13 @@ Result<LoweredWorkflow> LowerSqlPlan(const Query& query, const SqlPlan& plan,
       meta.Set("Constraints.Engine", engine);
       meta.Set("Constraints.Input.number", std::to_string(inputs));
       meta.Set("Constraints.Output.number", "1");
-      IRES_RETURN_IF_ERROR(
-          library->AddAbstract(AbstractOperator(op_name, meta)));
-      ++out.new_registrations;
+      const Status added =
+          library->AddAbstract(AbstractOperator(op_name, meta));
+      if (added.ok()) {
+        ++out.new_registrations;
+      } else if (added.code() != StatusCode::kAlreadyExists) {
+        return added;
+      }
     }
 
     out.graph.AddOperator(op_name);

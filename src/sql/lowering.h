@@ -41,7 +41,8 @@ int EnsureSqlOperators(OperatorLibrary* library);
 
 /// Registers the materialized base-table dataset `sql_table_<name>` for
 /// `table` (location, store, size and cardinality from the catalog).
-/// Idempotent like EnsureSqlOperators.
+/// Idempotent like EnsureSqlOperators, also when a concurrent caller
+/// registers the same table first.
 Status EnsureTableDataset(const Catalog& catalog, const std::string& table,
                           OperatorLibrary* library);
 

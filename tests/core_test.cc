@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "core/ires_server.h"
 #include "engines/standard_engines.h"
@@ -9,6 +16,64 @@
 
 namespace ires {
 namespace {
+
+/// Registers the deliverable's single-operator LineCount workflow (only a
+/// Spark implementation, so every plan runs the same pair) and parses it.
+WorkflowGraph RegisterLineCount(IresServer* server) {
+  EXPECT_TRUE(server
+                  ->RegisterDataset("asapServerLog",
+                                    "Optimization.documents=1000\n"
+                                    "Execution.path=hdfs:///log\n"
+                                    "Optimization.size=2e8\n"
+                                    "Constraints.Engine.FS=HDFS\n")
+                  .ok());
+  EXPECT_TRUE(
+      server
+          ->RegisterAbstractOperator(
+              "LineCount",
+              "Constraints.OpSpecification.Algorithm.name=LineCount\n")
+          .ok());
+  EXPECT_TRUE(server
+                  ->RegisterMaterializedOperator(
+                      "LineCount_Spark",
+                      "Constraints.Engine=Spark\n"
+                      "Constraints.OpSpecification.Algorithm.name=LineCount\n"
+                      "Constraints.Input0.Engine.FS=HDFS\n"
+                      "Constraints.Output0.Engine.FS=HDFS\n")
+                  .ok());
+  auto graph = server->ParseWorkflow(
+      "asapServerLog,LineCount,0\n"
+      "LineCount,d1,0\n"
+      "d1,$$target\n");
+  EXPECT_TRUE(graph.ok()) << graph.status();
+  return graph.ok() ? graph.value() : WorkflowGraph();
+}
+
+/// One observed run of `algorithm` on `gb` GB: output size and cardinality
+/// proportional to the input, runtime roughly linear in it.
+struct ProbeRun {
+  OperatorRunRequest request;
+  double seconds = 0.0;
+  double bytes = 0.0;
+  double records = 0.0;
+};
+
+ProbeRun MakeProbeRun(const std::string& algorithm, double gb, Rng* rng) {
+  ProbeRun run;
+  run.request.algorithm = algorithm;
+  run.request.input_bytes = gb * 1e9;
+  run.request.resources = {4, 2, 2.0};
+  run.seconds = (3 + 10 * gb) * rng->Uniform(0.95, 1.05);
+  run.bytes = run.request.input_bytes * 0.5;
+  run.records = run.request.input_bytes / 1e4;
+  return run;
+}
+
+void ObserveProbe(ModelLibrary* models, const std::string& engine,
+                  const ProbeRun& run) {
+  models->ObserveRun(run.request.algorithm, engine, run.request, run.seconds,
+                     run.bytes, run.records);
+}
 
 TEST(IresServerTest, RegisterArtefactsFromDescriptions) {
   IresServer server;
@@ -41,40 +106,14 @@ TEST(IresServerTest, LineCountWorkflowEndToEnd) {
   // The deliverable's §3.3 walkthrough: register artefacts, parse the graph
   // file, materialize, execute.
   IresServer server;
-  ASSERT_TRUE(server
-                  .RegisterDataset("asapServerLog",
-                                   "Optimization.documents=1000\n"
-                                   "Execution.path=hdfs:///log\n"
-                                   "Optimization.size=2e8\n"
-                                   "Constraints.Engine.FS=HDFS\n")
-                  .ok());
-  ASSERT_TRUE(server
-                  .RegisterAbstractOperator(
-                      "LineCount",
-                      "Constraints.OpSpecification.Algorithm.name=LineCount\n")
-                  .ok());
-  ASSERT_TRUE(
-      server
-          .RegisterMaterializedOperator(
-              "LineCount_Spark",
-              "Constraints.Engine=Spark\n"
-              "Constraints.OpSpecification.Algorithm.name=LineCount\n"
-              "Constraints.Input0.Engine.FS=HDFS\n"
-              "Constraints.Output0.Engine.FS=HDFS\n")
-          .ok());
+  const WorkflowGraph graph = RegisterLineCount(&server);
 
-  auto graph = server.ParseWorkflow(
-      "asapServerLog,LineCount,0\n"
-      "LineCount,d1,0\n"
-      "d1,$$target\n");
-  ASSERT_TRUE(graph.ok()) << graph.status();
-
-  auto plan = server.MaterializeWorkflow(graph.value());
+  auto plan = server.MaterializeWorkflow(graph);
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_EQ(plan.value().steps.size(), 1u);
   EXPECT_EQ(plan.value().steps[0].engine, "Spark");
 
-  auto outcome = server.ExecuteWorkflow(graph.value());
+  auto outcome = server.ExecuteWorkflow(graph);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_TRUE(outcome.value().status.ok());
   EXPECT_GT(outcome.value().total_execution_seconds, 0.0);
@@ -214,6 +253,172 @@ TEST(ModelLibraryTest, SaveLoadRoundTrip) {
   fs::remove_all(dir);
 }
 
+TEST(ModelLibraryTest, BackgroundRefitsMatchSynchronousObserve) {
+  // One pair fed a fixed observation sequence that stops between two due
+  // points: once the refits drain, every metric predicts bit-identically to
+  // an estimator fed the same sequence through synchronous Observe, however
+  // the refit tasks interleaved (late ones must lose to newer windows).
+  IresServer server;
+  OnlineEstimator exec_time, output_bytes, output_records;
+  Rng rng(73);
+  for (int i = 0; i < 37; ++i) {
+    const ProbeRun run = MakeProbeRun("TF_IDF", rng.Uniform(0.1, 2.0), &rng);
+    ObserveProbe(&server.models(), "Spark", run);
+    const Vector f = Profiler::FeatureVector(run.request);
+    exec_time.Observe(f, run.seconds);
+    output_bytes.Observe(f, run.bytes);
+    output_records.Observe(f, run.records);
+  }
+  server.models().WaitForRefits();
+  const ModelLibrary::OperatorModels* m =
+      server.models().Find("TF_IDF", "Spark");
+  ASSERT_NE(m, nullptr);
+  MutexLock lock(m->mu);
+  EXPECT_EQ(m->exec_time.model_name(), exec_time.model_name());
+  for (double gb : {0.2, 0.9, 1.8}) {
+    OperatorRunRequest probe;
+    probe.input_bytes = gb * 1e9;
+    probe.resources = {4, 2, 2.0};
+    const Vector f = Profiler::FeatureVector(probe);
+    EXPECT_EQ(m->exec_time.Predict(f), exec_time.Predict(f));
+    EXPECT_EQ(m->output_bytes.Predict(f), output_bytes.Predict(f));
+    EXPECT_EQ(m->output_records.Predict(f), output_records.Predict(f));
+  }
+}
+
+TEST(ModelLibraryTest, RefitTasksShowInTheFlightRecorder) {
+  IresServer server;
+  Rng rng(75);
+  for (int i = 0; i < 5; ++i) {
+    ObserveProbe(&server.models(), "Spark",
+                 MakeProbeRun("TF_IDF", rng.Uniform(0.1, 2.0), &rng));
+  }
+  server.models().WaitForRefits();
+  // The scheduler logs a labelled task's span just after the task returns,
+  // which is after the drain above can see it finished.
+  EventJournal::Filter filter;
+  filter.has_kind = true;
+  filter.kind = EventKind::kTaskSpan;
+  int refit_spans = 0;
+  for (int attempt = 0; attempt < 500 && refit_spans < 3; ++attempt) {
+    refit_spans = 0;
+    for (const JournalEvent& event : server.journal().Query(filter)) {
+      if (event.detail == "model.refit") ++refit_spans;
+    }
+    if (refit_spans < 3) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_EQ(refit_spans, 3);  // one per metric estimator
+}
+
+TEST(ModelLibraryTest, DueRefitsFoldIntoTheQueuedOne) {
+  // Park the only worker so refit tasks stay queued: four due points per
+  // estimator must leave one queued task each, which then fits the newest
+  // window.
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool parked = false;
+  bool released = false;
+  MetricsRegistry metrics;
+  TaskScheduler scheduler(1);
+  ASSERT_TRUE(scheduler.Submit([&] {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    parked = true;
+    gate_cv.notify_all();
+    gate_cv.wait(lock, [&] { return released; });
+  }));
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return parked; });
+  }
+
+  ModelLibrary models(&scheduler, &metrics);
+  OnlineEstimator sync_exec_time;
+  Rng rng(74);
+  for (int i = 0; i < 20; ++i) {
+    const ProbeRun run = MakeProbeRun("kmeans", rng.Uniform(0.1, 2.0), &rng);
+    ObserveProbe(&models, "Spark", run);
+    sync_exec_time.Observe(Profiler::FeatureVector(run.request), run.seconds);
+  }
+  const Gauge* pending = metrics.GetGauge("ires_model_refits_pending", "");
+  EXPECT_EQ(pending->Value(), 3.0);
+  // Appends alone never move the version the plan cache keys on.
+  EXPECT_EQ(models.version(), 0u);
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    released = true;
+  }
+  gate_cv.notify_all();
+  models.WaitForRefits();
+
+  auto refits = [&](const char* outcome) {
+    return metrics
+        .GetCounter("ires_model_refits_total", "", {{"outcome", outcome}})
+        ->Value();
+  };
+  EXPECT_EQ(refits("installed"), 3u);
+  EXPECT_EQ(refits("superseded"), 0u);
+  EXPECT_EQ(refits("failed"), 0u);
+  EXPECT_EQ(pending->Value(), 0.0);
+  EXPECT_EQ(models.version(), 3u);
+  const ModelLibrary::OperatorModels* m = models.Find("kmeans", "Spark");
+  ASSERT_NE(m, nullptr);
+  MutexLock lock(m->mu);
+  OperatorRunRequest probe;
+  probe.input_bytes = 1.1e9;
+  probe.resources = {4, 2, 2.0};
+  const Vector f = Profiler::FeatureVector(probe);
+  EXPECT_EQ(m->exec_time.Predict(f), sync_exec_time.Predict(f));
+}
+
+TEST(ModelLibraryTest, ConcurrentObserversWithLiveScheduler) {
+  // 8 threads observe 2 pairs while the server's scheduler refits: every
+  // append lands, no estimator ever has more than one refit queued, and
+  // destroying the server with refits still queued or running is clean.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 16;
+  const std::string kAlgorithms[] = {"TF_IDF", "kmeans"};
+  auto server = std::make_unique<IresServer>();
+  const Gauge* pending =
+      server->metrics().GetGauge("ires_model_refits_pending", "");
+  std::atomic<bool> stop{false};
+  double max_pending = 0.0;
+  std::thread sampler([&] {
+    while (!stop.load()) {
+      max_pending = std::max(max_pending, pending->Value());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&server, &kAlgorithms, t] {
+      Rng rng(100 + t);
+      for (int i = 0; i < kPerThread; ++i) {
+        const ProbeRun run = MakeProbeRun(kAlgorithms[(t + i) % 2],
+                                          rng.Uniform(0.1, 2.0), &rng);
+        ObserveProbe(&server->models(), "Spark", run);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  stop.store(true);
+  sampler.join();
+
+  EXPECT_LE(max_pending, 6.0);  // 2 pairs x 3 metrics
+  for (const std::string& algorithm : kAlgorithms) {
+    const ModelLibrary::OperatorModels* m =
+        server->models().Find(algorithm, "Spark");
+    ASSERT_NE(m, nullptr);
+    MutexLock lock(m->mu);
+    const size_t expected = kThreads * kPerThread / 2;
+    EXPECT_EQ(m->exec_time.sample_count(), expected);
+    EXPECT_EQ(m->output_bytes.sample_count(), expected);
+    EXPECT_EQ(m->output_records.sample_count(), expected);
+  }
+  server.reset();
+}
+
 TEST(ModelLibraryTest, LoadMissingDirectoryFails) {
   ModelLibrary models;
   EXPECT_EQ(models.LoadFromDirectory("/no/such/models").code(),
@@ -236,6 +441,29 @@ TEST(IresServerTest, ModelsSurviveRestart) {
   EXPECT_EQ(restarted.estimator("TF_IDF", "scikit")->sample_count(), 6u);
   EXPECT_TRUE(restarted.estimator("TF_IDF", "scikit")->has_model());
   fs::remove_all(dir);
+}
+
+TEST(IresServerTest, RefinedPlansStayCachedBetweenRefits) {
+  // With refined models on, the plan cache keys on the model version. Only
+  // an installed refit moves it: the 5th and 10th observations of the one
+  // pair make refits due, so runs 2-5 and 7-10 hit and 6 and 11 miss.
+  IresServer::Config config;
+  config.use_refined_models = true;
+  IresServer server(config);
+  const WorkflowGraph graph = RegisterLineCount(&server);
+  for (int run = 1; run <= 11; ++run) {
+    const uint64_t version = server.models().version();
+    const IresServer::WorkflowRunResult result = server.RunWorkflow(graph);
+    ASSERT_TRUE(result.recovery.status.ok()) << result.recovery.status;
+    server.models().WaitForRefits();
+    if (run % 5 == 0) {
+      EXPECT_GT(server.models().version(), version) << "run " << run;
+    } else {
+      EXPECT_EQ(server.models().version(), version) << "run " << run;
+    }
+    EXPECT_EQ(result.plan_cache_hit, run != 1 && run % 5 != 1)
+        << "run " << run;
+  }
 }
 
 TEST(IresServerTest, ProvisioningConfigShrinksAllocations) {

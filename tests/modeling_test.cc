@@ -372,6 +372,68 @@ TEST(OnlineEstimatorTest, AdaptsToInfrastructureChange) {
   EXPECT_LT(recovered, 0.15);
 }
 
+TEST(OnlineEstimatorTest, SplitRefitMatchesObserve) {
+  // Append + BeginRefit/Fit/Install at every due point is the off-lock form
+  // of Observe, and leaves the estimator bit-identical to it.
+  Rng rng(15);
+  OnlineEstimator sync, split;
+  for (int run = 0; run < 23; ++run) {
+    const double gb = rng.Uniform(0.1, 4.0);
+    const double truth = (5 + 30 * gb) * std::exp(rng.Normal(0, 0.05));
+    EXPECT_EQ(sync.Observe({gb, 1.0 / gb}, truth),
+              split.Append({gb, 1.0 / gb}, truth));
+    if (split.refit_due()) {
+      const OnlineEstimator::RefitInput input = split.BeginRefit();
+      auto fitted = input.Fit();
+      ASSERT_TRUE(fitted.ok());
+      EXPECT_TRUE(split.Install(input.generation, std::move(fitted).value()));
+    }
+  }
+  EXPECT_EQ(split.model_name(), sync.model_name());
+  for (double gb : {0.3, 1.7, 3.9}) {
+    EXPECT_EQ(split.Predict({gb, 1.0 / gb}), sync.Predict({gb, 1.0 / gb}));
+  }
+}
+
+TEST(OnlineEstimatorTest, LateInstallNeverReplacesNewerModel) {
+  OnlineEstimator estimator;
+  for (int i = 1; i <= 10; ++i) estimator.Append({1.0 * i}, 2.0 * i);
+  const OnlineEstimator::RefitInput older = estimator.BeginRefit();
+  for (int i = 11; i <= 15; ++i) estimator.Append({1.0 * i}, 2.0 * i);
+  const OnlineEstimator::RefitInput newer = estimator.BeginRefit();
+  ASSERT_LT(older.generation, newer.generation);
+
+  // The newer window's fit finishes first; the older one must not win.
+  auto newer_model = newer.Fit();
+  auto older_model = older.Fit();
+  ASSERT_TRUE(newer_model.ok());
+  ASSERT_TRUE(older_model.ok());
+  EXPECT_TRUE(estimator.Install(newer.generation,
+                                std::move(newer_model).value()));
+  EXPECT_FALSE(estimator.Install(older.generation,
+                                 std::move(older_model).value()));
+  EXPECT_EQ(estimator.model_generation(), newer.generation);
+
+  // A synchronous refit on newer data overtakes a fit begun before it.
+  estimator.Append({16.0}, 32.0);
+  const OnlineEstimator::RefitInput begun = estimator.BeginRefit();
+  estimator.Append({17.0}, 34.0);
+  ASSERT_TRUE(estimator.Refit().ok());
+  auto begun_model = begun.Fit();
+  ASSERT_TRUE(begun_model.ok());
+  EXPECT_FALSE(
+      estimator.Install(begun.generation, std::move(begun_model).value()));
+
+  // A fit begun before Reset must not resurrect the discarded window.
+  const OnlineEstimator::RefitInput discarded = estimator.BeginRefit();
+  estimator.Reset();
+  auto discarded_model = discarded.Fit();
+  ASSERT_TRUE(discarded_model.ok());
+  EXPECT_FALSE(estimator.Install(discarded.generation,
+                                 std::move(discarded_model).value()));
+  EXPECT_FALSE(estimator.has_model());
+}
+
 TEST(OnlineEstimatorTest, ResetDiscardsEverything) {
   OnlineEstimator estimator;
   for (int i = 0; i < 20; ++i) estimator.Observe({1.0 * i}, 2.0 * i);

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/json.h"
@@ -266,6 +268,28 @@ TEST_F(SqlApiTest, RepeatedShapeHitsBothCachesWarm) {
   ASSERT_EQ(warm.code, 200) << warm.body;
   EXPECT_NE(warm.body.find("\"shapeCacheHit\":true"), std::string::npos);
   EXPECT_NE(warm.body.find("\"planCacheHit\":true"), std::string::npos);
+}
+
+TEST_F(SqlApiTest, ConcurrentFirstRequestsOfOneShapeAllSucceed) {
+  // Eight first sightings of one novel shape race through optimize and
+  // lowering, each registering the same table datasets and per-shape
+  // abstracts. Losing a registration race is a later sighting, not a 409.
+  const std::string query = sql::MusqleQuerySet()[5];
+  constexpr int kClients = 8;
+  std::atomic<int> ready{0};
+  std::vector<ApiResponse> responses(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      responses[c] = api_.Handle("POST", "/apiv1/sql", query);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (const ApiResponse& response : responses) {
+    EXPECT_EQ(response.code, 200) << response.body;
+  }
 }
 
 TEST_F(SqlApiTest, SqlTrafficShowsUpInMetrics) {
