@@ -44,11 +44,12 @@ CaseResult RunCase(const std::string& fail_algorithm,
   DpPlanner planner(&w.library, registry.get());
   Enforcer enforcer(registry.get(), &cluster, 99);
   bool fired = false;
-  enforcer.set_fault_injector(
-      [&fired, fail_algorithm](const PlanStep& step, double) {
-        if (fired || step.algorithm != fail_algorithm) return false;
-        fired = true;
-        return true;
+  enforcer.set_fault_oracle(
+      [&fired, fail_algorithm](const PlanStep& step, double, int) {
+        Enforcer::FaultDecision crash;
+        if (fired || step.algorithm != fail_algorithm) return crash;
+        fired = crash.fail = true;
+        return crash;
       });
   RecoveringExecutor recovering(&planner, &enforcer, registry.get());
   auto outcome = recovering.Run(w.graph, {}, strategy);

@@ -1,12 +1,12 @@
 // Telemetry + observability bench. Part 1 (legacy): exercises the full
-// serving path (REST -> JobService -> cached planning -> simulated
-// execution -> model refinement) with a mixed async workload and dumps the
-// whole metrics registry as JSON to BENCH_telemetry.json. Part 2: measures
-// the flight-recorder's cost — raw journal append throughput (events/sec,
-// ns/event, enabled vs disabled) and the end-to-end serving overhead of
-// always-on recording — and writes BENCH_observability.json. The e2e
-// overhead number is the acceptance gate: always-on journaling must stay
-// within a few percent of the disabled baseline.
+// serving path (REST -> ControlPlane -> JobService -> cached planning ->
+// simulated execution -> model refinement) with a mixed async workload and
+// dumps the whole metrics registry as JSON to BENCH_telemetry.json. Part 2:
+// measures the flight-recorder's cost — raw journal append throughput
+// (events/sec, ns/event, enabled vs disabled) and the end-to-end serving
+// overhead of always-on recording — and writes BENCH_observability.json.
+// The e2e overhead number is the acceptance gate: always-on journaling
+// must stay within a few percent of the disabled baseline.
 
 #include <chrono>
 #include <cstdio>
@@ -16,7 +16,7 @@
 
 #include "core/ires_server.h"
 #include "core/rest_api.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "telemetry/event_journal.h"
 
 namespace {
@@ -96,11 +96,11 @@ double RunServingWorkload(int rounds, bool journal_enabled,
                           std::string* snapshot_to) {
   IresServer server;
   server.journal().set_enabled(journal_enabled);
-  JobService::Options options;
-  options.workers = 4;
-  options.queue_capacity = 256;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 4;
+  options.replica_options.queue_capacity = 256;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   Register(&api);
 
   const double start = NowSeconds();
@@ -114,7 +114,7 @@ double RunServingWorkload(int rounds, bool journal_enabled,
       std::exit(1);
     }
   }
-  if (!jobs.WaitForIdle(120.0)) {
+  if (!plane.WaitForIdle(120.0)) {
     std::fprintf(stderr, "jobs did not drain\n");
     std::exit(1);
   }

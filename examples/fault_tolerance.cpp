@@ -43,12 +43,13 @@ int main() {
   // Kill the engine of HelloWorld2 the first time it starts.
   Enforcer enforcer(registry.get(), &cluster, 4242);
   bool fired = false;
-  enforcer.set_fault_injector([&fired](const PlanStep& step, double now) {
-    if (fired || step.algorithm != "HelloWorld2") return false;
-    fired = true;
+  enforcer.set_fault_oracle([&fired](const PlanStep& step, double now, int) {
+    Enforcer::FaultDecision crash;  // kind defaults to an engine crash
+    if (fired || step.algorithm != "HelloWorld2") return crash;
+    fired = crash.fail = true;
     std::printf(">>> t=%.1fs: engine %s dies while starting %s\n", now,
                 step.engine.c_str(), step.name.c_str());
-    return true;
+    return crash;
   });
 
   RecoveringExecutor recovering(&planner, &enforcer, registry.get());

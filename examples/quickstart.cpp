@@ -87,20 +87,20 @@ int main() {
 
   // 6. Execute with monitoring + recovery; the observed runtimes feed the
   //    model-refinement library.
-  auto outcome = server.ExecuteWorkflow(graph.value());
-  if (!outcome.ok()) {
+  const RecoveryOutcome outcome = server.RunWorkflow(graph.value()).recovery;
+  if (!outcome.status.ok()) {
     std::fprintf(stderr, "execution failed: %s\n",
-                 outcome.status().ToString().c_str());
+                 outcome.status.ToString().c_str());
     return 1;
   }
   std::printf("execution finished in %.2f simulated seconds "
               "(planning took %.3f ms, %d replans)\n",
-              outcome.value().total_execution_seconds,
-              outcome.value().total_planning_ms, outcome.value().replans);
+              outcome.total_execution_seconds, outcome.total_planning_ms,
+              outcome.replans);
   std::printf("LineCount model now holds %zu observed run(s)\n",
               server
                   .estimator("LineCount",
-                             outcome.value().final_plan.steps.back().engine)
+                             outcome.final_plan.steps.back().engine)
                   ->sample_count());
   return 0;
 }

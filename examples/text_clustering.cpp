@@ -61,14 +61,14 @@ int main(int argc, char** argv) {
                 SingleEngineEstimate(w, "scikit"),
                 SingleEngineEstimate(w, "Spark"));
 
-    auto outcome = server.ExecuteWorkflow(w.graph);
-    if (!outcome.ok()) {
+    const RecoveryOutcome outcome = server.RunWorkflow(w.graph).recovery;
+    if (!outcome.status.ok()) {
       std::fprintf(stderr, "execution failed: %s\n",
-                   outcome.status().ToString().c_str());
+                   outcome.status.ToString().c_str());
       return 1;
     }
     std::printf("executed in %.1f simulated seconds\n\n",
-                outcome.value().total_execution_seconds);
+                outcome.total_execution_seconds);
   }
   return 0;
 }

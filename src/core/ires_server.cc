@@ -116,10 +116,6 @@ IresServer::IresServer(Config config)
                                                       &metrics_);
   planner_ = std::make_unique<DpPlanner>(&library_, engines_.get(),
                                          planner_context_.get());
-  enforcer_ = std::make_unique<Enforcer>(engines_.get(), cluster_.get(),
-                                         config.seed);
-  monitor_ = std::make_unique<ExecutionMonitor>(engines_.get(),
-                                                cluster_.get());
   NsgaResourceProvisioner::Limits limits;
   limits.max_containers = config.cluster_nodes / 2;
   limits.max_cores_per_container = config.cores_per_node;
@@ -269,24 +265,6 @@ Result<IresServer::PlannedWorkflow> IresServer::PlanWorkflowCached(
   return out;
 }
 
-Result<RecoveryOutcome> IresServer::ExecuteWorkflow(
-    const WorkflowGraph& graph, OptimizationPolicy policy) {
-  auto planned = PlanWorkflowCached(graph, policy);
-  if (!planned.ok()) return planned.status();
-
-  RecoveringExecutor recovering(planner_.get(), enforcer_.get(),
-                                engines_.get());
-  RecoveryOutcome outcome =
-      recovering.RunFrom(graph, MakePlannerOptions(policy),
-                         ReplanStrategy::kIresReplan, &planned.value().plan,
-                         planned.value().planning_ms);
-  if (outcome.status.ok()) {
-    RefineFromReport(outcome.final_plan, outcome.final_report);
-  }
-  if (!outcome.status.ok()) return outcome.status;
-  return outcome;
-}
-
 IresServer::WorkflowRunResult IresServer::RunWorkflow(
     const WorkflowGraph& graph, OptimizationPolicy policy,
     TraceContext* trace) {
@@ -319,10 +297,9 @@ IresServer::WorkflowRunResult IresServer::ExecutePlanned(
   result.plan = planned.plan;
   result.plan_cache_hit = planned.cache_hit;
 
-  // Each run simulates on its own cluster view (every sequential
-  // ExecuteWorkflow run also starts from an idle cluster, so semantics
-  // match) with a distinct noise stream; the engine registry — and with it
-  // availability flips from failure recovery — stays shared.
+  // Each run simulates on its own idle cluster view with a distinct noise
+  // stream; the engine registry — and with it availability flips from
+  // failure recovery — stays shared.
   ClusterSimulator cluster(config_.cluster_nodes, config_.cores_per_node,
                            config_.memory_gb_per_node);
   const uint64_t run_id =

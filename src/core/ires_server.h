@@ -14,7 +14,6 @@
 #include "cluster/cluster_simulator.h"
 #include "core/model_library.h"
 #include "executor/enforcer.h"
-#include "executor/execution_monitor.h"
 #include "executor/recovering_executor.h"
 #include "modeling/drift.h"
 #include "modeling/refinement.h"
@@ -64,11 +63,16 @@ const char* ArtifactKindName(ArtifactKind kind);
 /// drive — register artefacts, materialize (plan) workflows, execute them
 /// with monitoring/recovery, and refine the models with every run.
 ///
+/// RunWorkflow is the one execution pipeline: plan, enforce, monitor,
+/// replan, refine. The synchronous REST routes and the examples call it
+/// directly; the job service runs the same two halves, PlanWorkflowCached
+/// then ExecutePlanned, so it can record the phases in between. Every run
+/// simulates on its own enforcer and cluster view, so the server holds no
+/// shared discrete-event state.
+///
 /// Concurrency: RegisterArtifact, PlanWorkflowCached, MaterializeWorkflow
 /// and RunWorkflow are safe to call from many threads at once (the job
-/// service's worker pool does exactly that). ExecuteWorkflow keeps the
-/// legacy single-caller semantics — it drives the shared enforcer/cluster,
-/// whose discrete-event state is not meant for interleaved runs.
+/// service's worker pool does exactly that).
 class IresServer {
  public:
   struct Config {
@@ -101,22 +105,6 @@ class IresServer {
   /// unified entry point behind the REST description routes.
   Status RegisterArtifact(ArtifactKind kind, const std::string& name,
                           const std::string& description);
-
-  /// Deprecated per-kind wrappers; prefer RegisterArtifact.
-  Status RegisterDataset(const std::string& name,
-                         const std::string& description) {
-    return RegisterArtifact(ArtifactKind::kDataset, name, description);
-  }
-  Status RegisterAbstractOperator(const std::string& name,
-                                  const std::string& description) {
-    return RegisterArtifact(ArtifactKind::kAbstractOperator, name,
-                            description);
-  }
-  Status RegisterMaterializedOperator(const std::string& name,
-                                      const std::string& description) {
-    return RegisterArtifact(ArtifactKind::kMaterializedOperator, name,
-                            description);
-  }
 
   /// Imports an externally assembled library (merges, name clashes fail).
   Status ImportLibrary(const OperatorLibrary& library);
@@ -158,14 +146,6 @@ class IresServer {
                                              TraceContext* trace = nullptr);
 
   // ---- Executor layer -----------------------------------------------------
-  /// Plans + executes with monitoring and IResReplan recovery; feeds every
-  /// observed operator run back into the model-refinement library. Legacy
-  /// synchronous entry point over the shared enforcer; single caller at a
-  /// time.
-  Result<RecoveryOutcome> ExecuteWorkflow(
-      const WorkflowGraph& graph,
-      OptimizationPolicy policy = OptimizationPolicy::MinimizeTime());
-
   /// Per-run execution knobs: recovery strategy and budget, in-place retry
   /// policy, and the chaos fault schedule. Carried per job by the job
   /// service, so two concurrent submissions can run under different
@@ -236,8 +216,6 @@ class IresServer {
   /// share it with any ParetoPlanner / BuildMaterializationReport built
   /// over this server's library and engines.
   PlannerContext& planner_context() { return *planner_context_; }
-  Enforcer& enforcer() { return *enforcer_; }
-  ExecutionMonitor& monitor() { return *monitor_; }
   NsgaResourceProvisioner& provisioner() { return *provisioner_; }
   PlanCache& plan_cache() { return *plan_cache_; }
   const Config& config() const { return config_; }
@@ -322,8 +300,6 @@ class IresServer {
   /// Declared before the planners that resolve through it.
   std::unique_ptr<PlannerContext> planner_context_;
   std::unique_ptr<DpPlanner> planner_;
-  std::unique_ptr<Enforcer> enforcer_;
-  std::unique_ptr<ExecutionMonitor> monitor_;
   std::unique_ptr<NsgaResourceProvisioner> provisioner_;
   std::unique_ptr<ModelBasedCostEstimator> model_estimator_;
   std::unique_ptr<PlanCache> plan_cache_;

@@ -1,6 +1,6 @@
 #include "core/request_options.h"
 
-#include <cstdlib>
+#include <cmath>
 
 #include "common/strings.h"
 
@@ -8,32 +8,35 @@ namespace ires {
 
 namespace {
 
-bool ParseDoubleText(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
-
 Status BadField(const std::string& where, const std::string& what) {
   return Status::InvalidArgument("options." + where + " " + what);
 }
 
-/// Reads one numeric member, enforcing [lo, hi]; absent members are OK.
+/// `where.key`, or just `key` at the top level of the options object.
+std::string FieldPath(const std::string& where, const std::string& key) {
+  return where.empty() ? key : where + "." + key;
+}
+
+/// Reads one numeric member, enforcing [lo, hi] and, when `integral`, a
+/// whole value; absent members are OK.
 Status ReadNumber(const JsonValue& section, const std::string& where,
-                  const std::string& key, double lo, double hi, bool* present,
-                  double* out) {
+                  const std::string& key, double lo, double hi, bool integral,
+                  bool* present, double* out) {
   *present = false;
   const JsonValue* v = section.Find(key);
   if (v == nullptr) return Status::OK();
-  if (!v->is_number()) return BadField(where + "." + key, "must be a number");
-  if (v->number_value() < lo || v->number_value() > hi) {
-    return BadField(where + "." + key,
-                    "must be in [" + std::to_string(lo) + ", " +
-                        std::to_string(hi) + "]");
+  const std::string path = FieldPath(where, key);
+  if (!v->is_number()) return BadField(path, "must be a number");
+  const double number = v->number_value();
+  if (number < lo || number > hi) {
+    return BadField(path, "must be in [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]");
+  }
+  if (integral && number != std::floor(number)) {
+    return BadField(path, "must be an integer");
   }
   *present = true;
-  *out = v->number_value();
+  *out = number;
   return Status::OK();
 }
 
@@ -47,19 +50,9 @@ Status RejectUnknownKeys(const JsonValue& section, const std::string& where,
         break;
       }
     }
-    if (!ok) return BadField(where + "." + key, "is not a recognized option");
-  }
-  return Status::OK();
-}
-
-Status ApplyStrategy(const std::string& value, const std::string& where,
-                     IresServer::ExecutionOptions* exec) {
-  if (value == "ires") {
-    exec->strategy = ReplanStrategy::kIresReplan;
-  } else if (value == "trivial") {
-    exec->strategy = ReplanStrategy::kTrivialReplan;
-  } else {
-    return Status::InvalidArgument(where + " must be ires or trivial");
+    if (!ok) {
+      return BadField(FieldPath(where, key), "is not a recognized option");
+    }
   }
   return Status::OK();
 }
@@ -90,12 +83,17 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
       if (!strategy->is_string()) {
         return BadField("execution.strategy", "must be a string");
       }
-      IRES_RETURN_IF_ERROR(ApplyStrategy(strategy->string_value(),
-                                         "options.execution.strategy",
-                                         &out->exec));
+      if (strategy->string_value() == "ires") {
+        out->exec.strategy = ReplanStrategy::kIresReplan;
+      } else if (strategy->string_value() == "trivial") {
+        out->exec.strategy = ReplanStrategy::kTrivialReplan;
+      } else {
+        return BadField("execution.strategy", "must be ires or trivial");
+      }
     }
     IRES_RETURN_IF_ERROR(ReadNumber(*execution, "execution", "maxReplans", 0,
-                                    1000, &present, &number));
+                                    1000, /*integral=*/true, &present,
+                                    &number));
     if (present) out->exec.max_replans = static_cast<int>(number);
   }
 
@@ -103,14 +101,16 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
     if (!retry->is_object()) return BadField("retry", "must be an object");
     IRES_RETURN_IF_ERROR(RejectUnknownKeys(
         *retry, "retry", {"attempts", "backoffSeconds", "stragglerMultiplier"}));
-    IRES_RETURN_IF_ERROR(
-        ReadNumber(*retry, "retry", "attempts", 1, 100, &present, &number));
+    IRES_RETURN_IF_ERROR(ReadNumber(*retry, "retry", "attempts", 1, 100,
+                                    /*integral=*/true, &present, &number));
     if (present) out->exec.retry.max_attempts = static_cast<int>(number);
     IRES_RETURN_IF_ERROR(ReadNumber(*retry, "retry", "backoffSeconds", 0,
-                                    1e9, &present, &number));
+                                    1e9, /*integral=*/false, &present,
+                                    &number));
     if (present) out->exec.retry.base_backoff_seconds = number;
     IRES_RETURN_IF_ERROR(ReadNumber(*retry, "retry", "stragglerMultiplier", 0,
-                                    1e9, &present, &number));
+                                    1e9, /*integral=*/false, &present,
+                                    &number));
     if (present) out->exec.retry.straggler_multiplier = number;
   }
 
@@ -119,17 +119,17 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
     IRES_RETURN_IF_ERROR(RejectUnknownKeys(
         *chaos, "chaos",
         {"seed", "transient", "timeout", "crash", "crashEngine"}));
-    IRES_RETURN_IF_ERROR(
-        ReadNumber(*chaos, "chaos", "seed", 1, 1e18, &present, &number));
+    IRES_RETURN_IF_ERROR(ReadNumber(*chaos, "chaos", "seed", 1, 1e18,
+                                    /*integral=*/true, &present, &number));
     if (present) out->exec.chaos.seed = static_cast<uint64_t>(number);
-    IRES_RETURN_IF_ERROR(
-        ReadNumber(*chaos, "chaos", "transient", 0, 1, &present, &number));
+    IRES_RETURN_IF_ERROR(ReadNumber(*chaos, "chaos", "transient", 0, 1,
+                                    /*integral=*/false, &present, &number));
     if (present) out->exec.chaos.transient_probability = number;
-    IRES_RETURN_IF_ERROR(
-        ReadNumber(*chaos, "chaos", "timeout", 0, 1, &present, &number));
+    IRES_RETURN_IF_ERROR(ReadNumber(*chaos, "chaos", "timeout", 0, 1,
+                                    /*integral=*/false, &present, &number));
     if (present) out->exec.chaos.timeout_probability = number;
-    IRES_RETURN_IF_ERROR(
-        ReadNumber(*chaos, "chaos", "crash", 0, 1, &present, &number));
+    IRES_RETURN_IF_ERROR(ReadNumber(*chaos, "chaos", "crash", 0, 1,
+                                    /*integral=*/false, &present, &number));
     if (present) out->exec.chaos.engine_crash_probability = number;
     if (const JsonValue* engine = chaos->Find("crashEngine")) {
       if (!engine->is_string()) {
@@ -146,15 +146,6 @@ Status ParseOptionsBody(const JsonValue& options, ParsedExecution* out) {
 Status ParseExecutionOptions(const std::string& query,
                              const JsonValue* options, ParsedExecution* out) {
   *out = ParsedExecution();
-  bool used_legacy = false;
-  auto deprecated = [&](const std::string& key, const std::string& new_path) {
-    used_legacy = true;
-    out->warnings.push_back("query parameter '" + key +
-                            "' is deprecated and will be removed next "
-                            "release; set options." +
-                            new_path + " in the request body instead");
-  };
-
   for (const std::string& pair :
        query.empty() ? std::vector<std::string>{} : SplitAndTrim(query, '&')) {
     const size_t eq = pair.find('=');
@@ -163,7 +154,6 @@ Status ParseExecutionOptions(const std::string& query,
     }
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    double number = 0.0;
     if (key == "mode") {
       if (value == "async") {
         out->async = true;
@@ -182,83 +172,12 @@ Status ParseExecutionOptions(const std::string& query,
         return Status::InvalidArgument("idempotencyKey must be non-empty");
       }
       out->idempotency_key = value;
-    } else if (key == "strategy") {
-      deprecated(key, "execution.strategy");
-      IRES_RETURN_IF_ERROR(ApplyStrategy(value, "strategy", &out->exec));
-    } else if (key == "maxReplans") {
-      deprecated(key, "execution.maxReplans");
-      if (!ParseDoubleText(value, &number) || number < 0 || number > 1000) {
-        return Status::InvalidArgument("maxReplans must be in [0, 1000]");
-      }
-      out->exec.max_replans = static_cast<int>(number);
-    } else if (key == "retryAttempts") {
-      deprecated(key, "retry.attempts");
-      if (!ParseDoubleText(value, &number) || number < 1 || number > 100) {
-        return Status::InvalidArgument("retryAttempts must be in [1, 100]");
-      }
-      out->exec.retry.max_attempts = static_cast<int>(number);
-    } else if (key == "retryBackoffSeconds") {
-      deprecated(key, "retry.backoffSeconds");
-      if (!ParseDoubleText(value, &number) || number < 0) {
-        return Status::InvalidArgument("retryBackoffSeconds must be >= 0");
-      }
-      out->exec.retry.base_backoff_seconds = number;
-    } else if (key == "stragglerMultiplier") {
-      deprecated(key, "retry.stragglerMultiplier");
-      if (!ParseDoubleText(value, &number) || number < 0) {
-        return Status::InvalidArgument("stragglerMultiplier must be >= 0");
-      }
-      out->exec.retry.straggler_multiplier = number;
-    } else if (key == "chaosSeed") {
-      deprecated(key, "chaos.seed");
-      if (!ParseDoubleText(value, &number) || number < 1) {
-        return Status::InvalidArgument("chaosSeed must be a positive integer");
-      }
-      out->exec.chaos.seed = static_cast<uint64_t>(number);
-    } else if (key == "chaosTransient" || key == "chaosTimeout" ||
-               key == "chaosCrash") {
-      deprecated(key, key == "chaosTransient"
-                          ? "chaos.transient"
-                          : key == "chaosTimeout" ? "chaos.timeout"
-                                                  : "chaos.crash");
-      if (!ParseDoubleText(value, &number) || number < 0 || number > 1) {
-        return Status::InvalidArgument(key + " must be in [0, 1]");
-      }
-      if (key == "chaosTransient") {
-        out->exec.chaos.transient_probability = number;
-      } else if (key == "chaosTimeout") {
-        out->exec.chaos.timeout_probability = number;
-      } else {
-        out->exec.chaos.engine_crash_probability = number;
-      }
-    } else if (key == "chaosCrashEngine") {
-      deprecated(key, "chaos.crashEngine");
-      out->exec.chaos.crash_engine = value;
     } else {
       return Status::InvalidArgument("unsupported execute query key: " + key);
     }
   }
-
-  if (options != nullptr) {
-    if (used_legacy) {
-      return Status::InvalidArgument(
-          "execution options were supplied both as query parameters and in "
-          "the request body; move the query parameters into the body");
-    }
-    IRES_RETURN_IF_ERROR(ParseOptionsBody(*options, out));
-  }
-  return Status::OK();
-}
-
-std::string WarningsFragment(const std::vector<std::string>& warnings) {
-  if (warnings.empty()) return "";
-  std::string out = ",\"warnings\":[";
-  for (size_t i = 0; i < warnings.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\"" + JsonEscape(warnings[i]) + "\"";
-  }
-  out += "]";
-  return out;
+  if (options == nullptr) return Status::OK();
+  return ParseOptionsBody(*options, out);
 }
 
 }  // namespace ires

@@ -2,7 +2,6 @@
 #define IRES_CORE_REQUEST_OPTIONS_H_
 
 #include <string>
-#include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
@@ -21,9 +20,6 @@ struct ParsedExecution {
   /// Client dedupe key (`?idempotencyKey=`): resubmitting with a known key
   /// returns the original job id instead of admitting a duplicate.
   std::string idempotency_key;
-  /// Deprecation notices to surface in the success envelope's "warnings"
-  /// array (one per legacy query parameter used).
-  std::vector<std::string> warnings;
 };
 
 /// Decodes the execution options of one request from its query string and
@@ -37,24 +33,16 @@ struct ParsedExecution {
 ///    "chaos":     {"seed": N, "transient": P, "timeout": P, "crash": P,
 ///                  "crashEngine": "name"}}
 ///
-/// The flat query parameters of the pre-options API (`strategy`,
-/// `maxReplans`, `retryAttempts`, `retryBackoffSeconds`,
-/// `stragglerMultiplier`, `chaosSeed`, `chaosTransient`, `chaosTimeout`,
-/// `chaosCrash`, `chaosCrashEngine`) keep working as deprecated aliases for
-/// one release; each use appends a deprecation notice to `out->warnings`.
-/// Mixing the legacy parameters with a structured body is rejected
-/// (InvalidArgument) — there is no precedence rule to misremember. `mode`
-/// stays a first-class query parameter (it routes, it does not tune) and
-/// may be given either way.
+/// The query string carries only what routes and identifies a request,
+/// not what tunes it: `mode` (sync|async; may also be given in the body),
+/// `tenant` and `idempotencyKey`. Every tuning knob lives in the body.
 ///
-/// Unknown query keys, unknown body sections/keys and out-of-range values
-/// all fail with InvalidArgument so typos never silently run with defaults.
+/// Unknown query keys, unknown body sections/keys, out-of-range values and
+/// fractional values for the integer options (`maxReplans`, `attempts`,
+/// `seed`) all fail with InvalidArgument so typos never silently run with
+/// defaults.
 Status ParseExecutionOptions(const std::string& query,
                              const JsonValue* options, ParsedExecution* out);
-
-/// Renders `warnings` as a `,"warnings":[...]` JSON fragment, or "" when
-/// empty — appended inside success envelopes.
-std::string WarningsFragment(const std::vector<std::string>& warnings);
 
 }  // namespace ires
 

@@ -1,8 +1,8 @@
 #include "core/rest_api.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/json.h"
 #include "common/strings.h"
@@ -36,11 +36,12 @@ ApiResponse NotFoundError(const std::string& message) {
   return ErrorEnvelope(StatusCode::kNotFound, message);
 }
 
-bool ParseDoubleText(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
+/// Parses a whole decimal unsigned integer: digits only — no sign,
+/// fraction, exponent, whitespace, or value past uint64 range.
+bool ParseDecimalUint(const std::string& text, uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 ApiResponse FromStatus(const Status& status, int ok_code = 200,
@@ -188,12 +189,6 @@ std::string NormalizeRoute(const std::vector<std::string>& parts) {
 RestApi::RestApi(IresServer* server)
     : server_(server),
       owned_plane_(std::make_unique<ControlPlane>(server)),
-      plane_(owned_plane_.get()),
-      sql_(std::make_unique<SqlService>(server)) {}
-
-RestApi::RestApi(IresServer* server, JobService* jobs)
-    : server_(server),
-      owned_plane_(std::make_unique<ControlPlane>(server, jobs)),
       plane_(owned_plane_.get()),
       sql_(std::make_unique<SqlService>(server)) {}
 
@@ -367,7 +362,7 @@ ApiResponse RestApi::HandleDebugEvents(const std::string& query) {
     }
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
-    double number = 0.0;
+    uint64_t number = 0;
     if (key == "job") {
       filter.job = value;
     } else if (key == "kind") {
@@ -379,15 +374,15 @@ ApiResponse RestApi::HandleDebugEvents(const std::string& query) {
       filter.has_kind = true;
       filter.kind = kind;
     } else if (key == "since") {
-      if (!ParseDoubleText(value, &number) || number < 0) {
+      if (!ParseDecimalUint(value, &number)) {
         return ErrorEnvelope(StatusCode::kInvalidArgument,
-                             "since must be a sequence number >= 0");
+                             "since must be a decimal sequence number");
       }
-      filter.since_seq = static_cast<uint64_t>(number);
+      filter.since_seq = number;
     } else if (key == "limit") {
-      if (!ParseDoubleText(value, &number) || number < 1 || number > 4096) {
+      if (!ParseDecimalUint(value, &number) || number < 1 || number > 4096) {
         return ErrorEnvelope(StatusCode::kInvalidArgument,
-                             "limit must be in [1, 4096]");
+                             "limit must be an integer in [1, 4096]");
       }
       filter.limit = static_cast<size_t>(number);
     } else {
@@ -614,7 +609,6 @@ ApiResponse RestApi::HandleWorkflows(const std::string& method,
       ParsedExecution parsed;
       const Status opt_status = ParseExecutionOptions(query, options, &parsed);
       if (!opt_status.ok()) return FromStatus(opt_status);
-      const std::string warnings = WarningsFragment(parsed.warnings);
       if (parsed.async) {
         ControlPlane::SubmitRequest submit;
         submit.workflow_name = parts[2];
@@ -623,8 +617,7 @@ ApiResponse RestApi::HandleWorkflows(const std::string& method,
         submit.idempotency_key = parsed.idempotency_key;
         auto job_id = plane_->Submit(graph, submit);
         if (!job_id.ok()) return FromStatus(job_id.status());
-        return {202, "{\"jobId\":\"" + JsonEscape(job_id.value()) + "\"" +
-                         warnings + "}"};
+        return {202, "{\"jobId\":\"" + JsonEscape(job_id.value()) + "\"}"};
       }
       IresServer::WorkflowRunResult result = server_->RunWorkflow(
           graph, OptimizationPolicy::MinimizeTime(), nullptr, parsed.exec);
@@ -639,7 +632,7 @@ ApiResponse RestApi::HandleWorkflows(const std::string& method,
                     result.recovery.total_planning_ms,
                     result.recovery.replans, result.recovery.step_retries,
                     result.plan_cache_hit ? "true" : "false");
-      return {200, std::string(buf) + warnings + "}"};
+      return {200, std::string(buf) + "}"};
     }
   }
   return NotFoundError("unknown workflows route");
@@ -674,7 +667,6 @@ ApiResponse RestApi::HandleSql(const std::string& method,
   ParsedExecution parsed;
   const Status opt_status = ParseExecutionOptions(query, options, &parsed);
   if (!opt_status.ok()) return FromStatus(opt_status);
-  const std::string warnings = WarningsFragment(parsed.warnings);
 
   // Parse + MuSQLE optimize + lower. Front-end failures carry SQxxx
   // diagnostics and surface as the structured 422 envelope, mirroring the
@@ -712,7 +704,7 @@ ApiResponse RestApi::HandleSql(const std::string& method,
     auto job_id = plane_->Submit(pq.graph, submit);
     if (!job_id.ok()) return FromStatus(job_id.status());
     return {202, "{\"jobId\":\"" + JsonEscape(job_id.value()) + "\"," +
-                     sql_fields + warnings + "}"};
+                     sql_fields + "}"};
   }
 
   IresServer::WorkflowRunResult result = server_->RunWorkflow(
@@ -728,8 +720,7 @@ ApiResponse RestApi::HandleSql(const std::string& method,
                 result.recovery.total_planning_ms, result.recovery.replans,
                 result.recovery.step_retries,
                 result.plan_cache_hit ? "true" : "false");
-  return {200,
-          "{" + std::string(sql_fields) + run_fields + warnings + "}"};
+  return {200, "{" + std::string(sql_fields) + run_fields + "}"};
 }
 
 ApiResponse RestApi::HandleJobs(const std::string& method,

@@ -11,7 +11,6 @@
 #include "core/ires_server.h"
 #include "core/request_options.h"
 #include "service/control_plane.h"
-#include "service/job_service.h"
 #include "service/sql_service.h"
 
 namespace ires {
@@ -70,11 +69,10 @@ struct ApiResponse {
 ///   GET  /apiv1/models/drift                    cost-model drift by
 ///                                               (operator, engine) pair
 ///
-/// The execute and sql routes accept a structured JSON `options` body
-/// (`{"execution":{...},"retry":{...},"chaos":{...}}`, see
-/// core/request_options.h). The flat tuning query parameters of the
-/// pre-options API remain as deprecated aliases for one release; responses
-/// to requests that still use them carry a "warnings" array.
+/// The execute and sql routes take their tuning knobs from a structured
+/// JSON `options` body (`{"execution":{...},"retry":{...},"chaos":{...}}`,
+/// see core/request_options.h); only `mode`, `tenant` and `idempotencyKey`
+/// ride the query string.
 ///
 /// Every request is timed into `ires_http_request_seconds{method,route}`
 /// and counted in `ires_http_requests_total{method,route,code}`, with
@@ -94,16 +92,12 @@ struct ApiResponse {
 class RestApi {
  public:
   /// Owns a default-configured single-replica ControlPlane for the async
-  /// routes (the job-service behavior of old, plus journaling).
+  /// routes.
   explicit RestApi(IresServer* server);
 
-  /// Wraps an externally configured JobService (not owned) as the control
-  /// plane's single replica — lets tests and deployments bound the worker
-  /// pool / admission queue themselves.
-  RestApi(IresServer* server, JobService* jobs);
-
-  /// Serves an externally configured (possibly multi-replica) control
-  /// plane (not owned).
+  /// Serves an externally configured control plane (not owned) — how
+  /// tests and deployments size replicas, worker pools and admission
+  /// queues.
   RestApi(IresServer* server, ControlPlane* plane);
 
   ~RestApi();

@@ -178,11 +178,7 @@ ExecutionReport Enforcer::Execute(const ExecutionPlan& plan) {
 
     bool injected_hang = false;
     FaultDecision decision;
-    if (fault_oracle_) {
-      decision = fault_oracle_(step, now, result.attempts);
-    } else if (fault_injector_ && fault_injector_(step, now)) {
-      decision = {true, FailureKind::kEngineCrash};
-    }
+    if (fault_oracle_) decision = fault_oracle_(step, now, result.attempts);
     if (decision.fail) {
       journal_.Emit(EventKind::kChaosInject, step_id, step.engine,
                     FailureKindName(decision.kind), result.attempts);

@@ -57,14 +57,10 @@ struct ExecutionReport {
 /// deaths abort the run so the recovering executor can replan around them.
 class Enforcer {
  public:
-  /// Inspects a step about to start; returning true injects an
-  /// engine-crash fault and fails the step (the legacy hook of the
-  /// fault-tolerance experiments). Prefer FaultOracle for domain-typed
-  /// injection.
-  using FaultInjector = std::function<bool(const PlanStep&, double now)>;
-
-  /// Domain-typed fault injection: consulted at every step start attempt
-  /// (attempt is 1-based). `fail == false` lets the attempt proceed.
+  /// Fault injection: consulted at every step start attempt (attempt is
+  /// 1-based). `fail == false` lets the attempt proceed; otherwise the
+  /// attempt fails in the decided domain (an engine crash by default — the
+  /// fault-tolerance experiments kill an engine this way).
   struct FaultDecision {
     bool fail = false;
     FailureKind kind = FailureKind::kEngineCrash;
@@ -83,9 +79,6 @@ class Enforcer {
            uint64_t seed = 777)
       : engines_(engines), cluster_(cluster), rng_(seed) {}
 
-  void set_fault_injector(FaultInjector injector) {
-    fault_injector_ = std::move(injector);
-  }
   void set_fault_oracle(FaultOracle oracle) {
     fault_oracle_ = std::move(oracle);
   }
@@ -139,7 +132,6 @@ class Enforcer {
   EngineRegistry* engines_;
   ClusterSimulator* cluster_;
   Rng rng_;
-  FaultInjector fault_injector_;
   FaultOracle fault_oracle_;
   StepObserver step_observer_;
   JournalWriter journal_;

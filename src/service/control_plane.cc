@@ -46,41 +46,13 @@ const char* ControlPlane::ReplicaStateName(ReplicaState state) {
 ControlPlane::ControlPlane(IresServer* server)
     : ControlPlane(server, Options()) {}
 
-ControlPlane::ControlPlane(IresServer* server, JobService* external)
-    : ControlPlane(server, external, Options()) {}
-
 ControlPlane::ControlPlane(IresServer* server, Options options)
-    : server_(server),
-      options_(options),
-      external_mode_(false),
-      journal_(&server->journal()) {
+    : server_(server), options_(options), journal_(&server->journal()) {
   const int count = std::max(1, options_.replicas);
   for (int i = 0; i < count; ++i) {
-    owned_.push_back(
+    services_.push_back(
         std::make_unique<JobService>(server, options_.replica_options));
-    services_.push_back(owned_.back().get());
   }
-  InitCommon();
-}
-
-ControlPlane::ControlPlane(IresServer* server, JobService* external,
-                           Options options)
-    : server_(server),
-      options_(options),
-      external_mode_(true),
-      journal_(&server->journal()) {
-  services_.push_back(external);
-  InitCommon();
-}
-
-ControlPlane::~ControlPlane() {
-  // Join every owned replica's job threads before any member (the probe
-  // target, the journal, mu_) goes away. External services are the
-  // caller's to drain.
-  for (std::unique_ptr<JobService>& service : owned_) service->Shutdown();
-}
-
-void ControlPlane::InitCommon() {
   if (options_.chaos.enabled()) {
     chaos_ = std::make_unique<ControlPlaneChaos>(options_.chaos);
   }
@@ -96,15 +68,14 @@ void ControlPlane::InitCommon() {
   MutexLock lock(mu_);
   replicas_.resize(services_.size());
   for (size_t i = 0; i < services_.size(); ++i) {
-    replicas_[i].service = services_[i];
+    replicas_[i].service = services_[i].get();
   }
   BuildRingLocked();
   replicas_up_gauge_->Set(static_cast<double>(services_.size()));
   // Chaos kills fire from the replicas' own job threads at phase
   // boundaries — probe-synchronous, so a "mid-run" kill lands exactly
-  // after a step checkpoint, never at a torn arbitrary instant. Owned
-  // replicas only: an external service may outlive this plane.
-  if (chaos_ != nullptr && !external_mode_) {
+  // after a step checkpoint, never at a torn arbitrary instant.
+  if (chaos_ != nullptr) {
     for (size_t i = 0; i < services_.size(); ++i) {
       const int index = static_cast<int>(i);
       services_[i]->set_phase_probe(
@@ -114,6 +85,12 @@ void ControlPlane::InitCommon() {
           });
     }
   }
+}
+
+ControlPlane::~ControlPlane() {
+  // Join every replica's job threads before any member (the probe target,
+  // the journal, mu_) goes away.
+  for (std::unique_ptr<JobService>& service : services_) service->Shutdown();
 }
 
 void ControlPlane::BuildRingLocked() {
@@ -205,7 +182,7 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
   if (options_.shed_bronze_at > 0.0 || options_.shed_silver_at > 0.0) {
     size_t queued = 0;
     size_t capacity = 0;
-    for (JobService* service : services_) {
+    for (const std::unique_ptr<JobService>& service : services_) {
       queued += service->stats().queue_depth;
       capacity += service->options().queue_capacity;
     }
@@ -238,19 +215,17 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
   meta.idempotency_key = request.idempotency_key;
   meta.replica = target;
   meta.journal = &journal_;
-  if (!external_mode_) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "job-%06llu",
-                  static_cast<unsigned long long>(next_job_number_++));
-    meta.id_override = buf;
-  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "job-%06llu",
+                static_cast<unsigned long long>(next_job_number_++));
+  meta.id_override = buf;
   Result<std::string> submitted =
       services_[target]->Submit(graph, request.workflow_name, request.policy,
                                 request.exec, request.slo_class, meta);
   if (!submitted.ok()) {
     // Don't burn the minted id on a replica-level reject: callers observe
     // densely numbered ids (reject-then-accept still yields job-000001).
-    if (!external_mode_) --next_job_number_;
+    --next_job_number_;
     return submitted.status();
   }
   const std::string& id = submitted.value();
@@ -270,29 +245,23 @@ Result<std::string> ControlPlane::Submit(const WorkflowGraph& graph,
   return id;
 }
 
+int ControlPlane::AssignedReplica(const std::string& id) const {
+  MutexLock lock(mu_);
+  auto it = assignment_.find(id);
+  return it == assignment_.end() ? -1 : it->second;
+}
+
 Result<JobRecord> ControlPlane::Get(const std::string& id) const {
-  int target = -1;
-  {
-    MutexLock lock(mu_);
-    auto it = assignment_.find(id);
-    if (it != assignment_.end()) target = it->second;
-  }
-  if (target >= 0) {
-    Result<JobRecord> record = services_[target]->Get(id);
-    if (record.ok()) return record;
-  }
-  for (JobService* service : services_) {
-    Result<JobRecord> record = service->Get(id);
-    if (record.ok()) return record;
-  }
-  return Status::NotFound("job: " + id);
+  const int target = AssignedReplica(id);
+  if (target < 0) return Status::NotFound("job: " + id);
+  return services_[target]->Get(id);
 }
 
 std::vector<JobRecord> ControlPlane::List() const {
   // A failed-over job has a record on every replica it visited; keep the
   // highest incarnation (the one that owned — or still owns — the job).
   std::map<std::string, JobRecord> by_id;
-  for (JobService* service : services_) {
+  for (const std::unique_ptr<JobService>& service : services_) {
     for (JobRecord& record : service->List()) {
       auto it = by_id.find(record.id);
       if (it == by_id.end() || record.incarnation > it->second.incarnation) {
@@ -307,21 +276,9 @@ std::vector<JobRecord> ControlPlane::List() const {
 }
 
 Status ControlPlane::Cancel(const std::string& id) {
-  int target = -1;
-  {
-    MutexLock lock(mu_);
-    auto it = assignment_.find(id);
-    if (it != assignment_.end()) target = it->second;
-  }
-  if (target >= 0) {
-    const Status status = services_[target]->Cancel(id);
-    if (status.code() != StatusCode::kNotFound) return status;
-  }
-  for (JobService* service : services_) {
-    const Status status = service->Cancel(id);
-    if (status.code() != StatusCode::kNotFound) return status;
-  }
-  return Status::NotFound("job: " + id);
+  const int target = AssignedReplica(id);
+  if (target < 0) return Status::NotFound("job: " + id);
+  return services_[target]->Cancel(id);
 }
 
 bool ControlPlane::ResubmitLocked(const JobJournal::OpenJob& open,
@@ -500,7 +457,7 @@ JobService::Stats ControlPlane::AggregateStats() const {
   stats.queue_depth = 0;
   stats.running = 0;
   stats.workers = 0;
-  for (JobService* service : services_) {
+  for (const std::unique_ptr<JobService>& service : services_) {
     const JobService::Stats s = service->stats();
     stats.queue_depth += s.queue_depth;
     stats.running += s.running;
@@ -530,7 +487,7 @@ bool ControlPlane::WaitForIdle(double timeout_seconds) const {
           std::chrono::duration<double>(timeout_seconds));
   while (true) {
     bool all_idle = true;
-    for (JobService* service : services_) {
+    for (const std::unique_ptr<JobService>& service : services_) {
       if (!service->WaitForIdle(0.05)) all_idle = false;
     }
     // A failover can land new work on an already-checked replica, so only

@@ -79,15 +79,9 @@ class ControlPlane {
     ControlPlaneChaosConfig chaos;
   };
 
-  /// Owned mode: constructs `options.replicas` JobService shards.
+  /// Constructs and owns `options.replicas` JobService shards.
   explicit ControlPlane(IresServer* server);
   ControlPlane(IresServer* server, Options options);
-  /// External mode: wraps one caller-owned JobService as the single
-  /// replica (the legacy RestApi(server, jobs) arrangement). The wrapped
-  /// service keeps working for direct submissions; plane submissions add
-  /// journaling and tenant admission on top.
-  ControlPlane(IresServer* server, JobService* external);
-  ControlPlane(IresServer* server, JobService* external, Options options);
 
   ~ControlPlane();
 
@@ -114,8 +108,9 @@ class ControlPlane {
   Result<std::string> Submit(const WorkflowGraph& graph,
                              const SubmitRequest& request) EXCLUDES(mu_);
 
-  /// Reads route via the plane's assignment table and fall back to
-  /// scanning every replica (covers external-mode direct submissions).
+  /// Reads and cancels route via the plane's assignment table: a job is
+  /// found on the replica that owns its current incarnation. Ids the
+  /// plane never admitted are NotFound.
   Result<JobRecord> Get(const std::string& id) const EXCLUDES(mu_);
   /// Union of all replicas' records, deduped by job id keeping the
   /// highest incarnation (a failed-over job leaves a CANCELLED tombstone
@@ -187,7 +182,10 @@ class ControlPlane {
   /// The replica a fingerprint routes to while all replicas are up
   /// (test helper; live routing skips down replicas).
   int RouteOf(uint64_t fingerprint) const EXCLUDES(mu_);
-  JobService* replica(int index) { return services_[index]; }
+  /// Direct access to one replica (tests install phase probes on it;
+  /// jobs submitted straight to it bypass the plane and are invisible to
+  /// Get/Cancel).
+  JobService* replica(int index) { return services_[index].get(); }
   uint64_t failovers() const {
     return failovers_.load(std::memory_order_relaxed);
   }
@@ -199,7 +197,7 @@ class ControlPlane {
 
  private:
   struct Replica {
-    JobService* service = nullptr;  // == owned_[i].get() in owned mode
+    JobService* service = nullptr;  // == services_[i].get()
     ReplicaState state = ReplicaState::kUp;
     bool partitioned = false;
     /// Simulated-clock heartbeat bookkeeping; <0 means "no tick seen yet"
@@ -219,7 +217,9 @@ class ControlPlane {
     double weight = 1.0;
   };
 
-  void InitCommon();
+  /// The replica owning `id`'s current incarnation; -1 when the plane
+  /// never admitted it.
+  int AssignedReplica(const std::string& id) const EXCLUDES(mu_);
   void BuildRingLocked() REQUIRES(mu_);
   /// First live replica at or clockwise of `hash`; -1 when none is live.
   int RouteLiveLocked(uint64_t hash) const REQUIRES(mu_);
@@ -237,15 +237,10 @@ class ControlPlane {
 
   IresServer* server_;
   const Options options_;
-  /// True in the wrap-a-caller-owned-service mode: the replica mints job
-  /// ids itself (its counter stays collision-free against direct
-  /// submissions); owned mode mints globally unique ids at the plane.
-  const bool external_mode_;
   JobJournal journal_;
   std::unique_ptr<ControlPlaneChaos> chaos_;  // null when disabled
 
-  std::vector<std::unique_ptr<JobService>> owned_;
-  std::vector<JobService*> services_;
+  std::vector<std::unique_ptr<JobService>> services_;
 
   mutable Mutex mu_{LockRank::kControlPlane, "control.plane"};
   std::vector<Replica> replicas_ GUARDED_BY(mu_);
@@ -255,6 +250,7 @@ class ControlPlane {
   std::map<std::string, JobSpec> specs_ GUARDED_BY(mu_);
   std::map<std::string, int> assignment_ GUARDED_BY(mu_);
   std::map<std::string, std::string> idempotency_ GUARDED_BY(mu_);
+  /// The plane mints every job id, so ids are unique across replicas.
   uint64_t next_job_number_ GUARDED_BY(mu_) = 1;
   /// Round-robins chaos partitions over replicas.
   int partition_cursor_ GUARDED_BY(mu_) = 0;

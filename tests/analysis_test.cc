@@ -659,14 +659,14 @@ TEST(ValidationApiTest, AdmissionRejectsWith422DiagnosticsAndCounter) {
 TEST(ValidationApiTest, JobServiceSubmitGatesOnTheLinter) {
   IresServer server;
   ASSERT_TRUE(server
-                  .RegisterDataset("asapServerLog",
-                                   "Constraints.Engine.FS=HDFS\n"
-                                   "Execution.path=hdfs:///log\n"
-                                   "Optimization.size=5e8\n")
+                  .RegisterArtifact(ArtifactKind::kDataset, "asapServerLog",
+                                    "Constraints.Engine.FS=HDFS\n"
+                                    "Execution.path=hdfs:///log\n"
+                                    "Optimization.size=5e8\n")
                   .ok());
   ASSERT_TRUE(server
-                  .RegisterAbstractOperator(
-                      "Mystery",
+                  .RegisterArtifact(
+                      ArtifactKind::kAbstractOperator, "Mystery",
                       "Constraints.OpSpecification.Algorithm.name=Mystery\n")
                   .ok());
   auto graph = server.ParseWorkflow(

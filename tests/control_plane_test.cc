@@ -402,14 +402,14 @@ TEST(ControlPlaneAdmissionTest, WeightedFairDispatchServesGoldFirst) {
 TEST(ControlPlaneAdmissionTest, ValidationRejectIsTenantAttributed) {
   IresServer server;
   ASSERT_TRUE(server
-                  .RegisterDataset("asapServerLog",
-                                   "Constraints.Engine.FS=HDFS\n"
-                                   "Execution.path=hdfs:///log\n"
-                                   "Optimization.size=5e8\n")
+                  .RegisterArtifact(ArtifactKind::kDataset, "asapServerLog",
+                                    "Constraints.Engine.FS=HDFS\n"
+                                    "Execution.path=hdfs:///log\n"
+                                    "Optimization.size=5e8\n")
                   .ok());
   ASSERT_TRUE(server
-                  .RegisterAbstractOperator(
-                      "Mystery",
+                  .RegisterArtifact(
+                      ArtifactKind::kAbstractOperator, "Mystery",
                       "Constraints.OpSpecification.Algorithm.name=Mystery\n")
                   .ok());
   auto graph = server.ParseWorkflow(
@@ -730,22 +730,24 @@ TEST(ControlPlaneRestTest, HealthzAggregatesReplicasAndDegrades) {
 
 TEST(ControlPlaneRestTest, BackpressureCarriesRetryAfter) {
   IresServer server;
-  JobService::Options jobs_options;
-  jobs_options.workers = 1;
-  jobs_options.queue_capacity = 2;
-  JobService jobs(&server, jobs_options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 1;
+  options.replica_options.queue_capacity = 2;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
   const WorkflowGraph graph = LineCountGraph(&server);
 
   PlanGate gate;
-  gate.InstallOn(&jobs);
+  gate.InstallOn(plane.replica(0));
 
-  // Fill the wrapped replica: one job parked at the gate (still holding
-  // its queue slot), one more queued behind it.
-  ASSERT_TRUE(jobs.Submit(graph, "lc").ok());
+  // Fill the single replica: one job parked at the gate (still holding its
+  // queue slot), one more queued behind it.
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "lc";
+  ASSERT_TRUE(plane.Submit(graph, request).ok());
   gate.WaitForParked(1);
-  ASSERT_TRUE(jobs.Submit(graph, "lc").ok());
+  ASSERT_TRUE(plane.Submit(graph, request).ok());
 
   ApiResponse rejected =
       api.Handle("POST", "/apiv1/workflows/lc/execute?mode=async");
@@ -758,7 +760,7 @@ TEST(ControlPlaneRestTest, BackpressureCarriesRetryAfter) {
             std::string::npos);
 
   gate.Release();
-  EXPECT_TRUE(jobs.WaitForIdle(60.0));
+  EXPECT_TRUE(plane.WaitForIdle(60.0));
 }
 
 TEST(ControlPlaneRestTest, TenantAndIdempotencyRideTheQueryString) {

@@ -21,21 +21,21 @@ namespace {
 /// Spark implementation, so every plan runs the same pair) and parses it.
 WorkflowGraph RegisterLineCount(IresServer* server) {
   EXPECT_TRUE(server
-                  ->RegisterDataset("asapServerLog",
-                                    "Optimization.documents=1000\n"
-                                    "Execution.path=hdfs:///log\n"
-                                    "Optimization.size=2e8\n"
-                                    "Constraints.Engine.FS=HDFS\n")
+                  ->RegisterArtifact(ArtifactKind::kDataset, "asapServerLog",
+                                     "Optimization.documents=1000\n"
+                                     "Execution.path=hdfs:///log\n"
+                                     "Optimization.size=2e8\n"
+                                     "Constraints.Engine.FS=HDFS\n")
                   .ok());
   EXPECT_TRUE(
       server
-          ->RegisterAbstractOperator(
-              "LineCount",
+          ->RegisterArtifact(
+              ArtifactKind::kAbstractOperator, "LineCount",
               "Constraints.OpSpecification.Algorithm.name=LineCount\n")
           .ok());
   EXPECT_TRUE(server
-                  ->RegisterMaterializedOperator(
-                      "LineCount_Spark",
+                  ->RegisterArtifact(
+                      ArtifactKind::kMaterializedOperator, "LineCount_Spark",
                       "Constraints.Engine=Spark\n"
                       "Constraints.OpSpecification.Algorithm.name=LineCount\n"
                       "Constraints.Input0.Engine.FS=HDFS\n"
@@ -78,28 +78,30 @@ void ObserveProbe(ModelLibrary* models, const std::string& engine,
 TEST(IresServerTest, RegisterArtefactsFromDescriptions) {
   IresServer server;
   ASSERT_TRUE(server
-                  .RegisterDataset("asapServerLog",
-                                   "Optimization.documents=1\n"
-                                   "Execution.path=hdfs:///log\n"
-                                   "Optimization.size=1e6\n"
-                                   "Constraints.Engine.FS=HDFS\n")
+                  .RegisterArtifact(ArtifactKind::kDataset, "asapServerLog",
+                                    "Optimization.documents=1\n"
+                                    "Execution.path=hdfs:///log\n"
+                                    "Optimization.size=1e6\n"
+                                    "Constraints.Engine.FS=HDFS\n")
                   .ok());
   ASSERT_TRUE(server
-                  .RegisterAbstractOperator(
-                      "LineCount",
+                  .RegisterArtifact(
+                      ArtifactKind::kAbstractOperator, "LineCount",
                       "Constraints.OpSpecification.Algorithm.name=LineCount\n")
                   .ok());
   ASSERT_TRUE(
       server
-          .RegisterMaterializedOperator(
-              "LineCount_Spark",
+          .RegisterArtifact(
+              ArtifactKind::kMaterializedOperator, "LineCount_Spark",
               "Constraints.Engine=Spark\n"
               "Constraints.OpSpecification.Algorithm.name=LineCount\n"
               "Constraints.Input0.Engine.FS=HDFS\n"
               "Constraints.Output0.Engine.FS=HDFS\n")
           .ok());
   // Duplicate registration must fail.
-  EXPECT_FALSE(server.RegisterDataset("asapServerLog", "a=1\n").ok());
+  EXPECT_FALSE(
+      server.RegisterArtifact(ArtifactKind::kDataset, "asapServerLog", "a=1\n")
+          .ok());
 }
 
 TEST(IresServerTest, LineCountWorkflowEndToEnd) {
@@ -113,20 +115,18 @@ TEST(IresServerTest, LineCountWorkflowEndToEnd) {
   EXPECT_EQ(plan.value().steps.size(), 1u);
   EXPECT_EQ(plan.value().steps[0].engine, "Spark");
 
-  auto outcome = server.ExecuteWorkflow(graph);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_TRUE(outcome.value().status.ok());
-  EXPECT_GT(outcome.value().total_execution_seconds, 0.0);
+  const RecoveryOutcome outcome = server.RunWorkflow(graph).recovery;
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+  EXPECT_GT(outcome.total_execution_seconds, 0.0);
 }
 
 TEST(IresServerTest, ImportLibraryAndExecuteTextWorkflow) {
   IresServer server;
   const GeneratedWorkload w = MakeTextAnalyticsWorkflow(20e3);
   ASSERT_TRUE(server.ImportLibrary(w.library).ok());
-  auto outcome = server.ExecuteWorkflow(w.graph);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_TRUE(outcome.value().final_report.materialized.count("clusters") >
-              0);
+  const RecoveryOutcome outcome = server.RunWorkflow(w.graph).recovery;
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+  EXPECT_TRUE(outcome.final_report.materialized.count("clusters") > 0);
 }
 
 TEST(IresServerTest, ExecutionRefinesModels) {
@@ -134,7 +134,7 @@ TEST(IresServerTest, ExecutionRefinesModels) {
   const GeneratedWorkload w = MakeTextAnalyticsWorkflow(20e3);
   ASSERT_TRUE(server.ImportLibrary(w.library).ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(server.ExecuteWorkflow(w.graph).ok());
+    ASSERT_TRUE(server.RunWorkflow(w.graph).recovery.status.ok());
   }
   // The hybrid plan ran tf-idf on scikit and k-means on Spark 3 times each.
   EXPECT_EQ(server.estimator("TF_IDF", "scikit")->sample_count(), 3u);
@@ -433,7 +433,9 @@ TEST(IresServerTest, ModelsSurviveRestart) {
   {
     IresServer server;
     ASSERT_TRUE(server.ImportLibrary(w.library).ok());
-    for (int i = 0; i < 6; ++i) ASSERT_TRUE(server.ExecuteWorkflow(w.graph).ok());
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(server.RunWorkflow(w.graph).recovery.status.ok());
+    }
     ASSERT_TRUE(server.SaveModels(dir.string()).ok());
   }
   IresServer restarted;

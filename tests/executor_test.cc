@@ -90,8 +90,9 @@ TEST_F(ExecutorTest, EngineFailureProducesPartialReport) {
   ASSERT_TRUE(plan.ok());
   Enforcer enforcer(registry_.get(), &cluster_, 5);
   // Kill whatever engine hosts HelloWorld2.
-  enforcer.set_fault_injector([](const PlanStep& step, double) {
-    return step.algorithm == "HelloWorld2";
+  enforcer.set_fault_oracle([](const PlanStep& step, double, int) {
+    return Enforcer::FaultDecision{step.algorithm == "HelloWorld2",
+                                   FailureKind::kEngineCrash};
   });
   ExecutionReport report = enforcer.Execute(plan.value());
   EXPECT_FALSE(report.status.ok());
@@ -361,11 +362,12 @@ class RecoveryTest : public ::testing::Test {
                                            registry_.get());
     enforcer_ = std::make_unique<Enforcer>(registry_.get(), &cluster_, 7);
     bool fired = false;
-    enforcer_->set_fault_injector(
-        [&fired, fail_algorithm](const PlanStep& step, double) {
-          if (fired || step.algorithm != fail_algorithm) return false;
-          fired = true;
-          return true;
+    enforcer_->set_fault_oracle(
+        [&fired, fail_algorithm](const PlanStep& step, double, int) {
+          Enforcer::FaultDecision crash;
+          if (fired || step.algorithm != fail_algorithm) return crash;
+          fired = crash.fail = true;
+          return crash;
         });
     RecoveringExecutor recovering(planner_.get(), enforcer_.get(),
                                   registry_.get());
@@ -465,10 +467,11 @@ TEST_F(RecoveryTest, MaxReplansZeroFailsWithoutReplanning) {
   planner_ = std::make_unique<DpPlanner>(&workload_.library, registry_.get());
   enforcer_ = std::make_unique<Enforcer>(registry_.get(), &cluster_, 40);
   bool fired = false;
-  enforcer_->set_fault_injector([&fired](const PlanStep& step, double) {
-    if (fired || step.algorithm != "HelloWorld2") return false;
-    fired = true;
-    return true;
+  enforcer_->set_fault_oracle([&fired](const PlanStep& step, double, int) {
+    Enforcer::FaultDecision crash;
+    if (fired || step.algorithm != "HelloWorld2") return crash;
+    fired = crash.fail = true;
+    return crash;
   });
   RecoveringExecutor recovering(planner_.get(), enforcer_.get(),
                                 registry_.get());
@@ -493,11 +496,12 @@ TEST_F(RecoveryTest, MaxReplansOneRecoversTheSameFailure) {
         std::make_unique<DpPlanner>(&workload_.library, registry_.get());
     enforcer_ = std::make_unique<Enforcer>(registry_.get(), &cluster_, 40);
     bool fired = false;
-    enforcer_->set_fault_injector([fired](const PlanStep& step,
-                                          double) mutable {
-      if (fired || step.algorithm != "HelloWorld2") return false;
-      fired = true;
-      return true;
+    enforcer_->set_fault_oracle([fired](const PlanStep& step, double,
+                                        int) mutable {
+      Enforcer::FaultDecision crash;
+      if (fired || step.algorithm != "HelloWorld2") return crash;
+      fired = crash.fail = true;
+      return crash;
     });
     RecoveringExecutor recovering(planner_.get(), enforcer_.get(),
                                   registry_.get());

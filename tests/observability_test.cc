@@ -12,7 +12,7 @@
 
 #include "core/rest_api.h"
 #include "modeling/drift.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/slo.h"
@@ -302,29 +302,42 @@ void ExpectKinds(const std::vector<JournalEvent>& events) {
   }
 }
 
+/// Submits the LineCount workflow under DoomedOptions through `plane` and
+/// drains it; returns the job id.
+std::string SubmitDoomedJob(IresServer* server, ControlPlane* plane) {
+  auto graph = server->ParseWorkflow(kGraph);
+  EXPECT_TRUE(graph.ok()) << graph.status();
+  ControlPlane::SubmitRequest request;
+  request.workflow_name = "lc";
+  request.exec = DoomedOptions();
+  auto id = plane->Submit(graph.value(), request);
+  EXPECT_TRUE(id.ok()) << id.status();
+  EXPECT_TRUE(plane->WaitForIdle(30.0));
+  return id.ok() ? id.value() : "";
+}
+
+ControlPlane::Options SingleWorkerPlane() {
+  ControlPlane::Options options;
+  options.replica_options.workers = 1;
+  return options;
+}
+
 TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
   IresServer server;
-  JobService::Options options;
-  options.workers = 1;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane plane(&server, SingleWorkerPlane());
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
-  auto graph = server.ParseWorkflow(kGraph);
-  ASSERT_TRUE(graph.ok());
+  const std::string id = SubmitDoomedJob(&server, &plane);
+  ASSERT_FALSE(id.empty());
 
-  auto id = jobs.Submit(graph.value(), "lc", OptimizationPolicy::MinimizeTime(),
-                        DoomedOptions());
-  ASSERT_TRUE(id.ok()) << id.status();
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
-
-  auto record = jobs.Get(id.value());
+  auto record = plane.Get(id);
   ASSERT_TRUE(record.ok());
   ASSERT_EQ(record.value().state, JobState::kFailed) << record.value().error;
   EXPECT_EQ(record.value().slo_class, "dag");
 
   // 1. The journal itself, queried by job id.
   EventJournal::Filter filter;
-  filter.job = id.value();
+  filter.job = id;
   const std::vector<JournalEvent> events = server.journal().Query(filter);
   ExpectKinds(events);
 
@@ -346,8 +359,7 @@ TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
   ExpectKinds(record.value().event_snapshot);
 
   // 3. The REST surface: debug/events with job and kind filters.
-  ApiResponse by_job =
-      api.Handle("GET", "/apiv1/debug/events?job=" + id.value());
+  ApiResponse by_job = api.Handle("GET", "/apiv1/debug/events?job=" + id);
   ASSERT_EQ(by_job.code, 200) << by_job.body;
   for (EventKind kind : kDoomedJobSequence) {
     EXPECT_NE(by_job.body.find(EventKindName(kind)), std::string::npos)
@@ -356,7 +368,7 @@ TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
   EXPECT_NE(by_job.body.find("\"headSeq\":"), std::string::npos);
 
   ApiResponse starts = api.Handle(
-      "GET", "/apiv1/debug/events?job=" + id.value() + "&kind=step_start");
+      "GET", "/apiv1/debug/events?job=" + id + "&kind=step_start");
   ASSERT_EQ(starts.code, 200);
   size_t count = 0;
   for (size_t pos = starts.body.find("step_start"); pos != std::string::npos;
@@ -369,9 +381,19 @@ TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
   EXPECT_EQ(bad_kind.code, 400);
   ApiResponse bad_limit = api.Handle("GET", "/apiv1/debug/events?limit=0");
   EXPECT_EQ(bad_limit.code, 400);
+  // since and limit are decimal unsigned integers: values that are not
+  // (NaN, infinities, out-of-range exponents) are a 400 rather than an
+  // undefined float-to-integer conversion.
+  for (const char* bad : {"since=nan", "since=inf", "since=1e300",
+                          "limit=nan"}) {
+    EXPECT_EQ(api.Handle("GET", std::string("/apiv1/debug/events?") + bad)
+                  .code,
+              400)
+        << bad;
+  }
 
   // 4. The job record JSON carries sloClass and the event snapshot.
-  ApiResponse job_json = api.Handle("GET", "/apiv1/jobs/" + id.value());
+  ApiResponse job_json = api.Handle("GET", "/apiv1/jobs/" + id);
   ASSERT_EQ(job_json.code, 200);
   EXPECT_NE(job_json.body.find("\"sloClass\":\"dag\""), std::string::npos);
   EXPECT_NE(job_json.body.find("\"eventSnapshot\":["), std::string::npos);
@@ -380,17 +402,10 @@ TEST(FlightRecorderE2ETest, FailedJobJournalReconstructsDecisionSequence) {
 
 TEST(FlightRecorderE2ETest, ProcessScopedBreakerEventsCarryNoJobId) {
   IresServer server;
-  JobService::Options options;
-  options.workers = 1;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane plane(&server, SingleWorkerPlane());
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
-  auto graph = server.ParseWorkflow(kGraph);
-  ASSERT_TRUE(graph.ok());
-  auto id = jobs.Submit(graph.value(), "lc", OptimizationPolicy::MinimizeTime(),
-                        DoomedOptions());
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(jobs.WaitForIdle(30.0));
+  ASSERT_FALSE(SubmitDoomedJob(&server, &plane).empty());
 
   // The registry-level breaker transition (ON -> SUSPENDED) is recorded as
   // a process-scoped breaker_state event, job-attribution-free.

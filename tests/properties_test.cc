@@ -17,9 +17,9 @@ TEST(DeterminismTest, IdenticalServersProduceIdenticalRuns) {
     IresServer server;
     const GeneratedWorkload w = MakeTextAnalyticsWorkflow(20e3);
     EXPECT_TRUE(server.ImportLibrary(w.library).ok());
-    auto outcome = server.ExecuteWorkflow(w.graph);
-    EXPECT_TRUE(outcome.ok());
-    return outcome.value().total_execution_seconds;
+    const RecoveryOutcome outcome = server.RunWorkflow(w.graph).recovery;
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status;
+    return outcome.total_execution_seconds;
   };
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
@@ -31,9 +31,9 @@ TEST(DeterminismTest, DifferentSeedsProduceDifferentGroundTruth) {
     IresServer server(config);
     const GeneratedWorkload w = MakeTextAnalyticsWorkflow(20e3);
     EXPECT_TRUE(server.ImportLibrary(w.library).ok());
-    auto outcome = server.ExecuteWorkflow(w.graph);
-    EXPECT_TRUE(outcome.ok());
-    return outcome.value().total_execution_seconds;
+    const RecoveryOutcome outcome = server.RunWorkflow(w.graph).recovery;
+    EXPECT_TRUE(outcome.status.ok()) << outcome.status;
+    return outcome.total_execution_seconds;
   };
   EXPECT_NE(run_with_seed(1), run_with_seed(2));
 }

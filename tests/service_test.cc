@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/rest_api.h"
+#include "service/control_plane.h"
 #include "service/job_service.h"
 #include "threading/task_scheduler.h"
 #include "telemetry/trace_context.h"
@@ -388,11 +389,11 @@ TEST(JobsRestTest, AsyncExecuteLifecycle) {
 
 TEST(JobsRestTest, QueueFullReturns429) {
   IresServer server;
-  JobService::Options options;
-  options.workers = 1;
-  options.queue_capacity = 1;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 1;
+  options.replica_options.queue_capacity = 1;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
 
   int rejected_429 = 0;
@@ -409,7 +410,7 @@ TEST(JobsRestTest, QueueFullReturns429) {
     }
   }
   EXPECT_GT(rejected_429, 0);
-  EXPECT_TRUE(jobs.WaitForIdle(60.0));
+  EXPECT_TRUE(plane.WaitForIdle(60.0));
 }
 
 TEST(JobsRestTest, StatsEndpointCountsCacheHits) {
@@ -451,11 +452,11 @@ TEST(ServiceStressTest, ConcurrentSubmissionsAllTerminalNoLostUpdates) {
   constexpr int kPerThread = 8;  // 64 runs total, within the model window
 
   IresServer server;
-  JobService::Options options;
-  options.workers = 4;
-  options.queue_capacity = kThreads * kPerThread;
-  JobService jobs(&server, options);
-  RestApi api(&server, &jobs);
+  ControlPlane::Options options;
+  options.replica_options.workers = 4;
+  options.replica_options.queue_capacity = kThreads * kPerThread;
+  ControlPlane plane(&server, options);
+  RestApi api(&server, &plane);
   RegisterLineCount(&api);
 
   std::atomic<int> accepted{0};
@@ -473,11 +474,11 @@ TEST(ServiceStressTest, ConcurrentSubmissionsAllTerminalNoLostUpdates) {
   }
   for (std::thread& t : threads) t.join();
   ASSERT_EQ(accepted.load(), kThreads * kPerThread);
-  ASSERT_TRUE(jobs.WaitForIdle(120.0));
+  ASSERT_TRUE(plane.WaitForIdle(120.0));
 
   // Every job reached a terminal state, none failed.
   int succeeded = 0;
-  for (const JobRecord& record : jobs.List()) {
+  for (const JobRecord& record : plane.List()) {
     EXPECT_TRUE(IsTerminal(record.state))
         << record.id << " in " << JobStateName(record.state);
     if (record.state == JobState::kSucceeded) ++succeeded;
@@ -497,7 +498,7 @@ TEST(ServiceStressTest, ConcurrentSubmissionsAllTerminalNoLostUpdates) {
   EXPECT_GE(cache.hits + cache.misses,
             static_cast<uint64_t>(kThreads * kPerThread));
 
-  const JobService::Stats stats = jobs.stats();
+  const JobService::Stats stats = plane.AggregateStats();
   EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(stats.succeeded, static_cast<uint64_t>(succeeded));
   EXPECT_EQ(stats.queue_depth, 0u);

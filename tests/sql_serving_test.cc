@@ -15,7 +15,7 @@
 #include "common/json.h"
 #include "core/request_options.h"
 #include "core/rest_api.h"
-#include "service/job_service.h"
+#include "service/control_plane.h"
 #include "service/sql_service.h"
 #include "sql/lowering.h"
 #include "sql/sql_parser.h"
@@ -171,10 +171,40 @@ TEST(SqlServiceTest, RejectionsCarryStructuredDiagnostics) {
 
 class SqlApiTest : public ::testing::Test {
  protected:
-  SqlApiTest() : jobs_(&server_), api_(&server_, &jobs_) {}
+  SqlApiTest() : plane_(&server_), api_(&server_, &plane_) {}
+
+  /// Stores the single-operator LineCount workflow as "lc", so the execute
+  /// route has something to run.
+  void RegisterLineCount() {
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/datasets/asapServerLog",
+                          "Constraints.Engine.FS=HDFS\n"
+                          "Execution.path=hdfs:///log\n"
+                          "Optimization.size=5e8\n")
+                  .code,
+              201);
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/abstractOperators/LineCount",
+                          "Constraints.OpSpecification.Algorithm.name="
+                          "LineCount\n")
+                  .code,
+              201);
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/operators/LineCount_Spark",
+                          "Constraints.Engine=Spark\n"
+                          "Constraints.OpSpecification.Algorithm.name="
+                          "LineCount\n"
+                          "Constraints.Input0.Engine.FS=HDFS\n"
+                          "Constraints.Output0.Engine.FS=HDFS\n")
+                  .code,
+              201);
+    ASSERT_EQ(api_.Handle("POST", "/apiv1/workflows/lc",
+                          "asapServerLog,LineCount,0\n"
+                          "LineCount,d1,0\n"
+                          "d1,$$target\n")
+                  .code,
+              201);
+  }
 
   IresServer server_;
-  JobService jobs_;
+  ControlPlane plane_;
   RestApi api_;
 };
 
@@ -201,7 +231,7 @@ TEST_F(SqlApiTest, AsyncSubmissionRunsThroughTheJobsSurface) {
   const size_t start = at + 9;
   const std::string job_id =
       response.body.substr(start, response.body.find('"', start) - start);
-  ASSERT_TRUE(jobs_.WaitForIdle(30.0));
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
 
   ApiResponse record = api_.Handle("GET", "/apiv1/jobs/" + job_id);
   ASSERT_EQ(record.code, 200);
@@ -223,9 +253,7 @@ TEST_F(SqlApiTest, ModeCanComeFromTheOptionsBody) {
       "\"retry\":{\"attempts\":2}}}");
   ASSERT_EQ(response.code, 202) << response.body;
   EXPECT_NE(response.body.find("\"jobId\":\""), std::string::npos);
-  // Structured body, no legacy parameters -> no deprecation warnings.
-  EXPECT_EQ(response.body.find("\"warnings\""), std::string::npos);
-  ASSERT_TRUE(jobs_.WaitForIdle(30.0));
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
 }
 
 TEST_F(SqlApiTest, MalformedSqlYieldsStructured422) {
@@ -311,26 +339,78 @@ TEST_F(SqlApiTest, SqlTrafficShowsUpInMetrics) {
 
 // ------------------------------------------- structured execution options
 
-TEST_F(SqlApiTest, LegacyQueryParametersWarnButWork) {
-  ApiResponse response = api_.Handle(
-      "POST", "/apiv1/sql?maxReplans=2&retryAttempts=2",
-      "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey");
-  ASSERT_EQ(response.code, 200) << response.body;
-  EXPECT_NE(response.body.find("\"warnings\":["), std::string::npos);
-  EXPECT_NE(response.body.find("'maxReplans' is deprecated"),
-            std::string::npos);
-  EXPECT_NE(response.body.find("options.retry.attempts"), std::string::npos);
-}
+constexpr const char* kNationRegion =
+    "SELECT * FROM nation, region WHERE n_regionkey = r_regionkey";
 
-TEST_F(SqlApiTest, MixingLegacyParametersWithOptionsBodyIsRejected) {
-  ApiResponse response = api_.Handle(
-      "POST", "/apiv1/sql?maxReplans=2",
-      "{\"query\":\"SELECT * FROM nation, region WHERE "
-      "n_regionkey = r_regionkey\","
-      "\"options\":{\"retry\":{\"attempts\":2}}}");
-  EXPECT_EQ(response.code, 400);
-  EXPECT_NE(response.body.find("both as query parameters"),
-            std::string::npos);
+TEST_F(SqlApiTest, FormerQueryAliasesAreRejectedOnBothRoutes) {
+  RegisterLineCount();
+  // The flat tuning parameters of the pre-options API. Their settings live
+  // only in the options body now, so each is an unknown query key.
+  const char* const kFormerAliases[] = {
+      "strategy=trivial",      "maxReplans=1",         "retryAttempts=2",
+      "retryBackoffSeconds=0", "stragglerMultiplier=2", "chaosSeed=7",
+      "chaosTransient=0.5",    "chaosTimeout=0.5",     "chaosCrash=0.5",
+      "chaosCrashEngine=Spark"};
+  for (const char* alias : kFormerAliases) {
+    const ApiResponse execute = api_.Handle(
+        "POST", std::string("/apiv1/workflows/lc/execute?") + alias);
+    EXPECT_EQ(execute.code, 400) << alias << ": " << execute.body;
+    EXPECT_NE(execute.body.find("unsupported execute query key"),
+              std::string::npos)
+        << execute.body;
+    const ApiResponse sql = api_.Handle(
+        "POST", std::string("/apiv1/sql?") + alias, kNationRegion);
+    EXPECT_EQ(sql.code, 400) << alias << ": " << sql.body;
+    EXPECT_NE(sql.body.find("unsupported execute query key"),
+              std::string::npos)
+        << sql.body;
+  }
+
+  // What stays on the query string routes and identifies; it is unchanged.
+  EXPECT_EQ(api_.Handle("POST", "/apiv1/workflows/lc/execute?mode=sync").code,
+            200);
+  EXPECT_EQ(api_.Handle("POST", "/apiv1/sql?mode=sync", kNationRegion).code,
+            200);
+  const ApiResponse first = api_.Handle(
+      "POST",
+      "/apiv1/workflows/lc/execute?mode=async&tenant=acme&"
+      "idempotencyKey=req-1");
+  ASSERT_EQ(first.code, 202) << first.body;
+  const ApiResponse again = api_.Handle(
+      "POST",
+      "/apiv1/workflows/lc/execute?mode=async&tenant=acme&"
+      "idempotencyKey=req-1");
+  EXPECT_EQ(again.body, first.body);  // the same job id came back
+  const ApiResponse sql_async = api_.Handle(
+      "POST", "/apiv1/sql?mode=async&tenant=acme&idempotencyKey=req-2",
+      kNationRegion);
+  ASSERT_EQ(sql_async.code, 202) << sql_async.body;
+  ASSERT_TRUE(plane_.WaitForIdle(30.0));
+  const std::vector<JobRecord> jobs = plane_.List();
+  ASSERT_EQ(jobs.size(), 2u);
+  for (const JobRecord& job : jobs) {
+    EXPECT_EQ(job.tenant, "acme");
+    EXPECT_EQ(job.state, JobState::kSucceeded) << job.error;
+  }
+  EXPECT_EQ(jobs[0].idempotency_key, "req-1");
+  EXPECT_EQ(jobs[1].idempotency_key, "req-2");
+
+  // The structured body carries the same settings on both routes.
+  const std::string options =
+      "\"options\":{\"execution\":{\"strategy\":\"trivial\","
+      "\"maxReplans\":1},\"retry\":{\"attempts\":2,"
+      "\"backoffSeconds\":0,\"stragglerMultiplier\":2},"
+      "\"chaos\":{\"seed\":7,\"transient\":0,\"timeout\":0,"
+      "\"crash\":0,\"crashEngine\":\"Spark\"}}";
+  EXPECT_EQ(
+      api_.Handle("POST", "/apiv1/workflows/lc/execute", "{" + options + "}")
+          .code,
+      200);
+  EXPECT_EQ(api_.Handle("POST", "/apiv1/sql",
+                        std::string("{\"query\":\"") + kNationRegion +
+                            "\"," + options + "}")
+                .code,
+            200);
 }
 
 TEST_F(SqlApiTest, UnknownOptionKeysAreRejectedNotIgnored) {
@@ -356,54 +436,30 @@ TEST_F(SqlApiTest, UnknownOptionKeysAreRejectedNotIgnored) {
                   "SELECT * FROM nation, region WHERE "
                   "n_regionkey = r_regionkey");
   EXPECT_EQ(bad_query_key.code, 400);
-}
+  // The error names the unknown top-level key by its path.
+  EXPECT_NE(typo_section.body.find("options.retyr is not a recognized"),
+            std::string::npos)
+      << typo_section.body;
 
-TEST_F(SqlApiTest, ExecuteRouteSharesTheOptionsParser) {
-  // The workflow execute route accepts the same structured body; a legacy
-  // tuning parameter on it draws the same deprecation warning.
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/datasets/asapServerLog",
-                        "Constraints.Engine.FS=HDFS\n"
-                        "Execution.path=hdfs:///log\n"
-                        "Optimization.size=5e8\n")
+  // Integer options take whole numbers only; a fraction is an error, not a
+  // silently truncated setting.
+  for (const char* fractional :
+       {"{\"execution\":{\"maxReplans\":0.5}}",
+        "{\"retry\":{\"attempts\":2.5}}", "{\"chaos\":{\"seed\":1.5}}"}) {
+    const ApiResponse response = api_.Handle(
+        "POST", "/apiv1/sql",
+        std::string("{\"query\":\"") + kNationRegion +
+            "\",\"options\":" + fractional + "}");
+    EXPECT_EQ(response.code, 400) << fractional;
+    EXPECT_NE(response.body.find("must be an integer"), std::string::npos)
+        << response.body;
+  }
+  // Whole numbers written with a fraction part are still integers.
+  EXPECT_EQ(api_.Handle("POST", "/apiv1/sql",
+                        std::string("{\"query\":\"") + kNationRegion +
+                            "\",\"options\":{\"retry\":{\"attempts\":2.0}}}")
                 .code,
-            201);
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/abstractOperators/LineCount",
-                        "Constraints.OpSpecification.Algorithm.name="
-                        "LineCount\n")
-                .code,
-            201);
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/operators/LineCount_Spark",
-                        "Constraints.Engine=Spark\n"
-                        "Constraints.OpSpecification.Algorithm.name="
-                        "LineCount\n"
-                        "Constraints.Input0.Engine.FS=HDFS\n"
-                        "Constraints.Output0.Engine.FS=HDFS\n")
-                .code,
-            201);
-  ASSERT_EQ(api_.Handle("POST", "/apiv1/workflows/lc",
-                        "asapServerLog,LineCount,0\n"
-                        "LineCount,d1,0\n"
-                        "d1,$$target\n")
-                .code,
-            201);
-
-  ApiResponse legacy =
-      api_.Handle("POST", "/apiv1/workflows/lc/execute?maxReplans=1");
-  ASSERT_EQ(legacy.code, 200) << legacy.body;
-  EXPECT_NE(legacy.body.find("'maxReplans' is deprecated"),
-            std::string::npos);
-
-  ApiResponse structured = api_.Handle(
-      "POST", "/apiv1/workflows/lc/execute",
-      "{\"options\":{\"execution\":{\"maxReplans\":1},"
-      "\"retry\":{\"attempts\":2,\"backoffSeconds\":0}}}");
-  ASSERT_EQ(structured.code, 200) << structured.body;
-  EXPECT_EQ(structured.body.find("\"warnings\""), std::string::npos);
-
-  ApiResponse conflict = api_.Handle(
-      "POST", "/apiv1/workflows/lc/execute?maxReplans=1",
-      "{\"options\":{\"retry\":{\"attempts\":2}}}");
-  EXPECT_EQ(conflict.code, 400);
+            200);
 }
 
 // ------------------------------------------------- route label cardinality
