@@ -83,7 +83,31 @@ void BM_PlanTextAnalytics(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanTextAnalytics);
 
+// One GA run per iteration: every request has new input bytes, so the
+// provisioner's front memo never hits.
 void BM_Nsga2Provisioning(benchmark::State& state) {
+  auto registry = MakeStandardEngineRegistry();
+  const SimulatedEngine* spark = registry->Find("Spark");
+  NsgaResourceProvisioner::Limits limits;
+  Nsga2::Options ga;
+  ga.population = 24;
+  ga.generations = 20;
+  NsgaResourceProvisioner provisioner(limits, ga);
+  OperatorRunRequest request;
+  request.algorithm = "TF_IDF";
+  request.input_bytes = 1e9;
+  request.resources = spark->default_resources();
+  for (auto _ : state) {
+    request.input_bytes += 1.0;
+    benchmark::DoNotOptimize(provisioner.Advise(
+        *spark, request, OptimizationPolicy::MinimizeTime()));
+  }
+}
+BENCHMARK(BM_Nsga2Provisioning);
+
+// A repeated request: after the first iteration every Advise is a memo hit
+// plus the policy's selection over the front.
+void BM_Nsga2ProvisioningMemoHit(benchmark::State& state) {
   auto registry = MakeStandardEngineRegistry();
   const SimulatedEngine* spark = registry->Find("Spark");
   NsgaResourceProvisioner::Limits limits;
@@ -100,7 +124,7 @@ void BM_Nsga2Provisioning(benchmark::State& state) {
         *spark, request, OptimizationPolicy::MinimizeTime()));
   }
 }
-BENCHMARK(BM_Nsga2Provisioning);
+BENCHMARK(BM_Nsga2ProvisioningMemoHit);
 
 void BM_MusqleOptimize(benchmark::State& state) {
   using namespace ires::sql;

@@ -96,12 +96,12 @@ std::string VaryLiteral(const std::string& query, int salt) {
 /// execution substrate:
 ///
 ///   shared      the server's TaskScheduler has all N workers and every
-///               subsystem runs on it — jobs, SQL optimization, NSGA-II
+///               subsystem runs on it — jobs, SQL optimization, model refits
 ///   partitioned the pre-substrate architecture: the job service runs on a
 ///               private dag_workers-thread scheduler while SQL optimization
-///               and provisioning fan-outs keep the server scheduler's
-///               remaining workers, so neither side can soak up the other's
-///               idle capacity
+///               and model refits keep the server scheduler's remaining
+///               workers, so neither side can soak up the other's idle
+///               capacity
 struct ServingStack {
   std::unique_ptr<IresServer> server;
   std::unique_ptr<TaskScheduler> job_sched;  // null in shared mode
@@ -113,9 +113,10 @@ struct ServingStack {
     ServingStack s;
     IresServer::Config config;
     config.scheduler_workers = shared ? workers : sql_workers;
-    // NSGA-II provisioning makes every DAG job fan out on the scheduler
-    // (ParallelFor from a worker thread -> own-deque spawns -> stealable
-    // work), so the bench exercises the substrate, not just dispatch.
+    // NSGA-II provisioning on, as in serving. Its GA runs serially on the
+    // planning thread and each front is memoized, so a DAG job's planning
+    // spawns no scheduler tasks; SQL optimization (DPccp) and model refits
+    // still run on the scheduler.
     config.provision_resources = true;
     s.server = std::make_unique<IresServer>(config);
     ControlPlane::Options plane_options;

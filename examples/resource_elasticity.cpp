@@ -50,8 +50,9 @@ int main(int argc, char** argv) {
                 estimate.value().cost);
   }
 
+  // All three policies selected from this one front: it was computed once.
   std::printf("\nPareto front of the last run (time [s] vs cost):\n");
-  for (const auto& point : provisioner.last_front()) {
+  for (const auto& point : *provisioner.Front(*spark, request)) {
     std::printf("  %-14s t=%8.1f  c=%10.0f\n",
                 point.resources.ToString().c_str(), point.seconds,
                 point.cost);

@@ -78,8 +78,8 @@ enum class LockRank : int {
   /// EngineRegistry breaker state; journals transitions and registers
   /// gauges while held.
   kEngineRegistry = 550,
-  /// NsgaResourceProvisioner front snapshot (never held across the GA —
-  /// the GA fans out onto the scheduler).
+  /// NsgaResourceProvisioner front memo: one short section per lookup and
+  /// one per insert, never held across the GA; nothing is acquired under it.
   kResourceProvisioner = 600,
   /// DriftObservatory pair map; registers metrics while held.
   kDriftObservatory = 650,

@@ -123,8 +123,8 @@ IresServer::IresServer(Config config)
   Nsga2::Options ga;
   ga.population = 24;
   ga.generations = 30;
-  ga.scheduler = scheduler_.get();
-  provisioner_ = std::make_unique<NsgaResourceProvisioner>(limits, ga);
+  provisioner_ =
+      std::make_unique<NsgaResourceProvisioner>(limits, ga, &metrics_);
   model_estimator_ = std::make_unique<ModelBasedCostEstimator>(&models_);
   plan_cache_ =
       std::make_unique<PlanCache>(config.plan_cache_capacity, &metrics_);
@@ -202,6 +202,7 @@ Result<IresServer::PlannedWorkflow> IresServer::PlanWorkflowCached(
   key.model_version =
       config_.use_refined_models ? models_.version() : 0;
   key.engine_epoch = engines_->availability_epoch();
+  key.engine_calibration = engines_->calibration_epoch();
 
   // Plan decisions are journaled under the job id (== trace id) so a job's
   // event stream replays why it got the plan it did.

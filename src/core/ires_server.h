@@ -83,12 +83,13 @@ class IresServer {
     /// When true the planner consults the online-refined models; otherwise
     /// the converged analytic models.
     bool use_refined_models = false;
-    /// When set, NSGA-II provisions container resources per operator.
+    /// When set, NSGA-II provisions container resources per operator; each
+    /// distinct operator run's Pareto front is computed once per server.
     bool provision_resources = false;
     /// Capacity of the planner-level plan cache (0 disables caching).
     size_t plan_cache_capacity = 128;
     /// Worker threads of the shared task scheduler every subsystem
-    /// (job execution, SQL optimization, planner fan-out, NSGA-II) runs
+    /// (job execution, SQL optimization, planner fan-out, model refits) runs
     /// on; <=0 uses the hardware concurrency.
     int scheduler_workers = 0;
     /// Injectable clock (seconds) for the scheduler's backlog tracker —
@@ -240,8 +241,8 @@ class IresServer {
 
   /// The shared work-stealing execution substrate. One instance per server:
   /// JobService dispatch, the SQL optimizer's DPccp enumeration, planner
-  /// fan-out, NSGA-II evaluation and model refits all run here, so a busy
-  /// subsystem can soak up the workers an idle one isn't using.
+  /// fan-out and model refits all run here, so a busy subsystem can soak up
+  /// the workers an idle one isn't using.
   TaskScheduler& scheduler() { return *scheduler_; }
 
   /// The refined execution-time estimator for one (algorithm, engine)

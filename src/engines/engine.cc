@@ -5,9 +5,15 @@
 
 namespace ires {
 
+uint64_t SimulatedEngine::NextCalibrationVersion() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
 void SimulatedEngine::SetProfile(const std::string& algorithm,
                                  AlgorithmProfile profile) {
   profiles_[algorithm] = std::move(profile);
+  BumpCalibration();
 }
 
 const AlgorithmProfile* SimulatedEngine::FindProfile(
@@ -88,7 +94,7 @@ Result<OperatorRunEstimate> SimulatedEngine::Estimate(
       profile->startup_seconds +
       profile->container_startup_seconds * containers +
       profile->seconds_per_gb * gb * work_multiplier * amdahl *
-          spill_penalty * config_.infrastructure_factor;
+          spill_penalty * infrastructure_factor();
   out.output_bytes = request.input_bytes * profile->output_bytes_ratio;
   out.output_records = request.input_records * profile->output_records_ratio;
   out.cost = res.CostForDuration(out.exec_seconds);

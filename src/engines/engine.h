@@ -91,10 +91,13 @@ class SimulatedEngine {
     std::string native_store;
     /// Multiplies all processing rates; the infrastructure-change lever used
     /// by the Fig. 16b experiment (e.g. 0.5 after an HDD -> SSD upgrade).
+    /// Initial value; set_infrastructure_factor changes it at run time.
     double infrastructure_factor = 1.0;
   };
 
-  SimulatedEngine(Config config) : config_(std::move(config)) {}
+  SimulatedEngine(Config config)
+      : config_(std::move(config)),
+        infrastructure_factor_(config_.infrastructure_factor) {}
   virtual ~SimulatedEngine() = default;
 
   const std::string& name() const { return config_.name; }
@@ -114,10 +117,25 @@ class SimulatedEngine {
     available_.store(on, std::memory_order_release);
   }
 
+  /// The factor is flipped at serving time (Fig. 16b) while planner threads
+  /// estimate, so it is atomic. Stored before the new calibration version
+  /// is published: a reader that sees the new version sees the new factor.
   void set_infrastructure_factor(double f) {
-    config_.infrastructure_factor = f;
+    infrastructure_factor_.store(f);
+    BumpCalibration();
   }
-  double infrastructure_factor() const { return config_.infrastructure_factor; }
+  double infrastructure_factor() const {
+    return infrastructure_factor_.load();
+  }
+
+  /// Names this engine *and* its calibration state: a process-unique token
+  /// drawn from one global counter at construction and again by every
+  /// calibration change (set_infrastructure_factor, SetProfile). Anything
+  /// derived from Estimate — provisioning fronts, cached plans — keys on it,
+  /// so a change invalidates it and no two engines ever share a token.
+  uint64_t calibration_version() const {
+    return calibration_version_.load();
+  }
 
   /// Registers the performance profile for one algorithm. A profile under
   /// the wildcard name "*" is the fallback for unknown algorithms.
@@ -135,8 +153,15 @@ class SimulatedEngine {
                                   Rng* rng) const;
 
  private:
+  static uint64_t NextCalibrationVersion();
+  void BumpCalibration() {
+    calibration_version_.store(NextCalibrationVersion());
+  }
+
   Config config_;
   std::atomic<bool> available_{true};
+  std::atomic<double> infrastructure_factor_;
+  std::atomic<uint64_t> calibration_version_{NextCalibrationVersion()};
   std::map<std::string, AlgorithmProfile> profiles_;
 };
 

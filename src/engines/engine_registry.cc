@@ -80,6 +80,14 @@ std::vector<std::string> EngineRegistry::Names() const {
   return names;
 }
 
+uint64_t EngineRegistry::calibration_epoch() const {
+  uint64_t sum = 0;
+  for (const auto& [name, engine] : engines_) {
+    sum += engine->calibration_version();
+  }
+  return sum;
+}
+
 bool EngineRegistry::TransitionLocked(const std::string& name,
                                       BreakerState* state,
                                       EngineHealth health) {

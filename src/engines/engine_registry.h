@@ -124,6 +124,12 @@ class EngineRegistry {
     return availability_epoch_.load(std::memory_order_acquire);
   }
 
+  /// Sum of the registered engines' calibration versions; part of the
+  /// plan-cache key. Engines are only ever added and every calibration
+  /// change replaces a token with a larger one, so the sum strictly grows
+  /// and never returns to a value it had.
+  uint64_t calibration_epoch() const;
+
   DataMovementModel& movement() { return movement_; }
   const DataMovementModel& movement() const { return movement_; }
 

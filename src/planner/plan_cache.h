@@ -20,9 +20,10 @@ namespace ires {
 /// same workflow under the same policy hit the cache instead of re-running
 /// the O(op·m²·k) dynamic program. Entries are keyed on everything the
 /// planner's answer depends on — the workflow-graph fingerprint, the policy,
-/// and version counters of the operator library, model library and engine
-/// availability — so any registration, model refit or engine ON/OFF flip
-/// naturally invalidates stale plans (their keys stop being produced).
+/// and version counters of the operator library, model library, engine
+/// availability and engine calibration — so any registration, model refit,
+/// engine ON/OFF flip or calibration change naturally invalidates stale
+/// plans (their keys stop being produced).
 ///
 /// Hit/miss/insertion/eviction accounting lives on `ires_plan_cache_*`
 /// counters in a MetricsRegistry (the server's when one is supplied, a
@@ -36,13 +37,14 @@ class PlanCache {
     uint64_t library_version = 0;
     uint64_t model_version = 0;
     uint64_t engine_epoch = 0;
+    uint64_t engine_calibration = 0;  // EngineRegistry::calibration_epoch()
 
     bool operator<(const Key& other) const {
       return std::tie(graph_fingerprint, policy, library_version,
-                      model_version, engine_epoch) <
+                      model_version, engine_epoch, engine_calibration) <
              std::tie(other.graph_fingerprint, other.policy,
                       other.library_version, other.model_version,
-                      other.engine_epoch);
+                      other.engine_epoch, other.engine_calibration);
     }
   };
 

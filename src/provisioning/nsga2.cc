@@ -106,13 +106,8 @@ std::vector<Nsga2::Individual> Nsga2::Optimize(
                                 ? options_.mutation_probability
                                 : 1.0 / static_cast<double>(genes);
 
-  // Objective evaluation is a pure function of the genes and never touches
-  // the RNG, so it can run as a parallel batch after the (serial, RNG-
-  // consuming) gene generation without perturbing the random stream.
   auto evaluate_all = [&](std::vector<Individual>* individuals) {
-    ParallelFor(options_.scheduler, individuals->size(), [&](size_t i) {
-      (*individuals)[i].objectives = evaluate((*individuals)[i].genes);
-    });
+    for (Individual& ind : *individuals) ind.objectives = evaluate(ind.genes);
   };
 
   std::vector<Individual> population;

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "modeling/linalg.h"
-#include "threading/task_scheduler.h"
 
 namespace ires {
 
@@ -25,12 +24,6 @@ class Nsga2 {
     double sbx_eta = 15.0;        // SBX distribution index
     double mutation_eta = 20.0;   // polynomial mutation index
     uint64_t seed = 2002;
-    /// When set, each generation's objective evaluations fan out across
-    /// the scheduler. Bit-identical to the serial run: evaluation never
-    /// consumes the RNG, so genes are still produced by one serial RNG
-    /// stream and only the (pure) objective calls run concurrently. The
-    /// evaluate callback must then be thread-safe.
-    TaskScheduler* scheduler = nullptr;
   };
 
   struct Individual {
@@ -48,7 +41,10 @@ class Nsga2 {
   explicit Nsga2(Options options) : options_(options) {}
 
   /// Runs the GA over box-bounded genes and returns the final population's
-  /// first non-dominated front, sorted by the first objective.
+  /// first non-dominated front, sorted by the first objective. Everything
+  /// runs on the calling thread, and the RNG is reseeded from
+  /// `options.seed` on every call, so the front is a pure function of the
+  /// bounds and the objective.
   std::vector<Individual> Optimize(
       const std::vector<std::pair<double, double>>& bounds,
       const Evaluate& evaluate) const;

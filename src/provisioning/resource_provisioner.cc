@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 namespace ires {
 
@@ -23,9 +24,30 @@ Resources Decode(const Vector& genes, bool centralized,
 
 }  // namespace
 
-Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
-                                          const OperatorRunRequest& request,
-                                          const OptimizationPolicy& policy) {
+bool NsgaResourceProvisioner::Key::operator<(const Key& other) const {
+  return std::tie(calibration, algorithm, input_bytes, input_records,
+                  params) < std::tie(other.calibration, other.algorithm,
+                                     other.input_bytes, other.input_records,
+                                     other.params);
+}
+
+NsgaResourceProvisioner::NsgaResourceProvisioner(Limits limits,
+                                                 Nsga2::Options ga,
+                                                 MetricsRegistry* metrics)
+    : limits_(limits), ga_(ga) {
+  if (metrics == nullptr) {
+    owned_metrics_ = std::make_unique<MetricsRegistry>();
+    metrics = owned_metrics_.get();
+  }
+  const std::string help = "Provisioning Pareto-front lookups by outcome.";
+  hits_ = metrics->GetCounter("ires_provisioner_fronts_total", help,
+                              {{"outcome", "hit"}});
+  computed_ = metrics->GetCounter("ires_provisioner_fronts_total", help,
+                                  {{"outcome", "computed"}});
+}
+
+NsgaResourceProvisioner::ParetoFront NsgaResourceProvisioner::Compute(
+    const SimulatedEngine& engine, const OperatorRunRequest& request) const {
   const bool centralized = engine.kind() == EngineKind::kCentralized;
   const std::vector<std::pair<double, double>> bounds = {
       {1.0, static_cast<double>(limits_.max_containers)},
@@ -33,8 +55,9 @@ Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
       {0.5, limits_.max_memory_gb_per_container},
   };
 
+  // The GA evaluates serially, so one probe request serves every call.
+  OperatorRunRequest probe = request;
   auto evaluate = [&](const Vector& genes) -> Vector {
-    OperatorRunRequest probe = request;
     probe.resources = Decode(genes, centralized, limits_);
     auto estimate = engine.Estimate(probe);
     if (!estimate.ok()) {
@@ -44,15 +67,8 @@ Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
     return {estimate.value().exec_seconds, estimate.value().cost};
   };
 
-  // The GA — including its possibly pooled objective evaluation, which
-  // blocks in TaskGroup::Wait — runs entirely on locals. mu_ is only taken
-  // at the end to publish the front: a ranked lock must never be held
-  // across Wait (caller-helps waiting executes arbitrary unrelated tasks).
-  Nsga2 ga(ga_);
-  std::vector<Nsga2::Individual> raw_front = ga.Optimize(bounds, evaluate);
-
-  std::vector<FrontPoint> front;
-  for (const Nsga2::Individual& ind : raw_front) {
+  ParetoFront front;
+  for (const Nsga2::Individual& ind : Nsga2(ga_).Optimize(bounds, evaluate)) {
     if (ind.objectives[0] >= 1e12) continue;  // infeasible sentinel
     FrontPoint point;
     point.resources = Decode(ind.genes, centralized, limits_);
@@ -60,16 +76,46 @@ Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
     point.cost = ind.objectives[1];
     front.push_back(point);
   }
+  return front;
+}
+
+std::shared_ptr<const NsgaResourceProvisioner::ParetoFront>
+NsgaResourceProvisioner::Front(const SimulatedEngine& engine,
+                               const OperatorRunRequest& request) {
+  Key key{engine.calibration_version(), request.algorithm,
+          request.input_bytes, request.input_records, request.params};
   {
     MutexLock lock(mu_);
-    last_front_ = front;
+    auto it = fronts_.find(key);
+    if (it != fronts_.end()) {
+      hits_->Increment();
+      return it->second;
+    }
   }
-  if (front.empty()) return request.resources;  // keep the default
+  computed_->Increment();
+  auto front = std::make_shared<const ParetoFront>(Compute(engine, request));
+  MutexLock lock(mu_);
+  auto [it, inserted] = fronts_.emplace(std::move(key), std::move(front));
+  if (inserted) {
+    insertion_order_.push_back(it);
+    if (fronts_.size() > kMemoCapacity) {
+      fronts_.erase(insertion_order_.front());
+      insertion_order_.pop_front();
+    }
+  }
+  return it->second;
+}
+
+Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
+                                          const OperatorRunRequest& request,
+                                          const OptimizationPolicy& policy) {
+  const std::shared_ptr<const ParetoFront> front = Front(engine, request);
+  if (front->empty()) return request.resources;  // keep the default
 
   switch (policy.objective) {
     case OptimizationPolicy::Objective::kMinimizeCost: {
       const auto best = std::min_element(
-          front.begin(), front.end(),
+          front->begin(), front->end(),
           [](const FrontPoint& a, const FrontPoint& b) {
             return a.cost < b.cost;
           });
@@ -80,12 +126,12 @@ Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
       // band — the model's local minima flatten out once parallelism stops
       // paying, so this lands on the knee instead of max resources.
       double best_time = std::numeric_limits<double>::infinity();
-      for (const FrontPoint& p : front) {
+      for (const FrontPoint& p : *front) {
         best_time = std::min(best_time, p.seconds);
       }
-      const double limit = best_time * (1.0 + time_tolerance_);
+      const double limit = best_time * (1.0 + kTimeTolerance);
       const FrontPoint* chosen = nullptr;
-      for (const FrontPoint& p : front) {
+      for (const FrontPoint& p : *front) {
         if (p.seconds > limit) continue;
         if (chosen == nullptr || p.cost < chosen->cost) chosen = &p;
       }
@@ -93,7 +139,7 @@ Resources NsgaResourceProvisioner::Advise(const SimulatedEngine& engine,
     }
     case OptimizationPolicy::Objective::kWeighted: {
       const auto best = std::min_element(
-          front.begin(), front.end(),
+          front->begin(), front->end(),
           [&](const FrontPoint& a, const FrontPoint& b) {
             return policy.Metric(a.seconds, a.cost) <
                    policy.Metric(b.seconds, b.cost);

@@ -110,7 +110,7 @@ struct Task {
 /// The shared execution substrate of the serving stack: a work-stealing
 /// task scheduler with one Chase–Lev deque per worker, dependency-counted
 /// task nodes and a caller-helps wait primitive (TaskGroup). Planner
-/// fan-outs, job execution, SQL optimization and provisioning all run here
+/// fan-outs, job execution, SQL optimization and model refits all run here
 /// instead of fighting over per-subsystem pools — a blocked waiter executes
 /// tasks instead of sleeping, so the substrate is work-conserving under any
 /// mix of workloads.

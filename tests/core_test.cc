@@ -13,6 +13,7 @@
 #include "core/ires_server.h"
 #include "engines/standard_engines.h"
 #include "workloadgen/asap_workflows.h"
+#include "workloadgen/pegasus.h"
 
 namespace ires {
 namespace {
@@ -480,6 +481,116 @@ TEST(IresServerTest, ProvisioningConfigShrinksAllocations) {
     if (step.kind != PlanStep::Kind::kOperator) continue;
     EXPECT_LE(step.resources.containers, 8);
     EXPECT_GE(step.resources.containers, 1);
+  }
+}
+
+/// Field-for-field plan equality, including the provisioned resources.
+void ExpectSamePlan(const ExecutionPlan& a, const ExecutionPlan& b) {
+  EXPECT_EQ(a.ToString(), b.ToString());
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (size_t i = 0; i < a.steps.size(); ++i) {
+    EXPECT_EQ(a.steps[i].resources.ToString(), b.steps[i].resources.ToString());
+    EXPECT_EQ(a.steps[i].resources.memory_gb, b.steps[i].resources.memory_gb);
+    EXPECT_EQ(a.steps[i].estimated_seconds, b.steps[i].estimated_seconds);
+    EXPECT_EQ(a.steps[i].estimated_cost, b.steps[i].estimated_cost);
+  }
+  EXPECT_EQ(a.estimated_seconds, b.estimated_seconds);
+  EXPECT_EQ(a.estimated_cost, b.estimated_cost);
+  EXPECT_EQ(a.metric, b.metric);
+}
+
+uint64_t FrontsComputed(IresServer* server) {
+  return server->metrics()
+      .GetCounter("ires_provisioner_fronts_total", "",
+                  {{"outcome", "computed"}})
+      ->Value();
+}
+
+TEST(IresServerTest, CalibrationChangeInvalidatesCachedPlans) {
+  IresServer::Config config;
+  config.provision_resources = true;
+  IresServer server(config);
+  const WorkflowGraph graph = RegisterLineCount(&server);
+  const auto original = server.MaterializeWorkflow(graph);
+  ASSERT_TRUE(original.ok()) << original.status();
+  ASSERT_TRUE(server.MaterializeWorkflow(graph).ok());
+  EXPECT_EQ(server.plan_cache().stats().hits, 1u);
+  const uint64_t misses = server.plan_cache().stats().misses;
+  const uint64_t computed = FrontsComputed(&server);
+
+  // The Fig. 16b HDD -> SSD lever: the cached plan was priced at the old
+  // factor, so it must miss, and the provisioner must recompute its front.
+  SimulatedEngine* spark = server.engines().Find("Spark");
+  spark->set_infrastructure_factor(0.5);
+  const auto faster = server.MaterializeWorkflow(graph);
+  ASSERT_TRUE(faster.ok()) << faster.status();
+  EXPECT_EQ(server.plan_cache().stats().misses, misses + 1);
+  EXPECT_LT(faster.value().estimated_seconds,
+            original.value().estimated_seconds);
+  EXPECT_GT(FrontsComputed(&server), computed);
+
+  spark->set_infrastructure_factor(1.0);
+  const auto restored = server.MaterializeWorkflow(graph);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(server.plan_cache().stats().misses, misses + 2);
+  ExpectSamePlan(restored.value(), original.value());
+}
+
+/// A provisioning server over the five Pegasus families at one size, as
+/// perfbench's pegasus_plan deploys them (three synthetic engines).
+std::unique_ptr<IresServer> MakePegasusServer(
+    const std::vector<GeneratedWorkload>& families) {
+  IresServer::Config config;
+  config.provision_resources = true;
+  auto server = std::make_unique<IresServer>(config);
+  PegasusGenerator::RegisterSyntheticEngines(&server->engines(), 3);
+  for (const GeneratedWorkload& w : families) {
+    EXPECT_TRUE(server->ImportLibrary(w.library).ok());
+  }
+  return server;
+}
+
+std::vector<ExecutionPlan> PlanAll(
+    IresServer* server, const std::vector<GeneratedWorkload>& families) {
+  std::vector<ExecutionPlan> plans;
+  for (const GeneratedWorkload& w : families) {
+    auto plan = server->MaterializeWorkflow(w.graph);
+    EXPECT_TRUE(plan.ok()) << plan.status();
+    plans.push_back(plan.ok() ? plan.value() : ExecutionPlan());
+  }
+  return plans;
+}
+
+// The server-wide front memo must serve re-plans completely (no GA run on
+// the second pass) and leave every plan bit-identical to a cold server's.
+TEST(IresServerTest, ProvisioningMemoServesReplansBitIdentically) {
+  for (int operators : {10, 30, 50}) {
+    SCOPED_TRACE("operators=" + std::to_string(operators));
+    PegasusGenerator generator(2015);
+    std::vector<GeneratedWorkload> families;
+    for (PegasusType type :
+         {PegasusType::kMontage, PegasusType::kCyberShake,
+          PegasusType::kEpigenomics, PegasusType::kInspiral,
+          PegasusType::kSipht}) {
+      families.push_back(generator.Generate(type, operators, 3));
+    }
+    auto server = MakePegasusServer(families);
+    const std::vector<ExecutionPlan> first = PlanAll(server.get(), families);
+    const uint64_t computed = FrontsComputed(server.get());
+    EXPECT_GT(computed, 0u);
+
+    server->plan_cache().Clear();
+    const uint64_t misses = server->plan_cache().stats().misses;
+    const std::vector<ExecutionPlan> second = PlanAll(server.get(), families);
+    EXPECT_EQ(server->plan_cache().stats().misses, misses + families.size());
+    EXPECT_EQ(FrontsComputed(server.get()), computed);
+
+    auto fresh = MakePegasusServer(families);
+    const std::vector<ExecutionPlan> cold = PlanAll(fresh.get(), families);
+    for (size_t i = 0; i < families.size(); ++i) {
+      ExpectSamePlan(second[i], first[i]);
+      ExpectSamePlan(cold[i], first[i]);
+    }
   }
 }
 

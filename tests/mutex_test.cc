@@ -21,7 +21,6 @@
 #include "engines/standard_engines.h"
 #include "operators/operator_library.h"
 #include "provisioning/resource_provisioner.h"
-#include "threading/task_scheduler.h"
 
 namespace ires {
 namespace {
@@ -273,15 +272,12 @@ TEST(SweepRegressionTest, OperatorLibraryMoveAssignUnderRankChecks) {
 }
 
 /// Advise used to hold the provisioner mutex across the pooled GA run —
-/// a ranked lock held through TaskGroup::Wait, where caller-helps waiting
-/// executes arbitrary unrelated tasks. The GA now runs on locals; with the
-/// registry live, concurrent pooled Advise calls must pass cleanly.
-TEST(SweepRegressionTest, ProvisionerPooledAdviseUnderRankChecks) {
+/// a ranked lock held through TaskGroup::Wait. The GA now runs serially
+/// with no lock held, and the front memo takes its lock only for one
+/// lookup and one insert. With the registry live, concurrent Advise calls
+/// on overlapping keys must pass cleanly and agree on every answer.
+TEST(SweepRegressionTest, ProvisionerMemoAdviseUnderRankChecks) {
   ScopedChecksForTest checks(true);
-  TaskScheduler::Options sched_options;
-  sched_options.workers = 2;
-  TaskScheduler scheduler(sched_options);
-
   std::unique_ptr<EngineRegistry> registry = MakeStandardEngineRegistry();
   const SimulatedEngine* spark = registry->Find("Spark");
   ASSERT_NE(spark, nullptr);
@@ -290,27 +286,39 @@ TEST(SweepRegressionTest, ProvisionerPooledAdviseUnderRankChecks) {
   Nsga2::Options ga;
   ga.population = 12;
   ga.generations = 6;
-  ga.scheduler = &scheduler;
   NsgaResourceProvisioner provisioner(limits, ga);
 
-  OperatorRunRequest request;
-  request.algorithm = "TF_IDF";
-  request.input_bytes = 1e9;
-  request.input_records = 1e6;
-  request.resources = spark->default_resources();
-
+  constexpr int kThreads = 3;
+  constexpr int kKeys = 4;
+  auto request_for = [&](int k) {
+    OperatorRunRequest request;
+    request.algorithm = "TF_IDF";
+    request.input_bytes = 1e9 * (k + 1);
+    request.input_records = 1e6;
+    request.resources = spark->default_resources();
+    return request;
+  };
+  std::vector<std::vector<Resources>> advised(kThreads,
+                                              std::vector<Resources>(kKeys));
   std::vector<std::thread> threads;
-  for (int t = 0; t < 3; ++t) {
-    threads.emplace_back([&] {
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
       ScopedChecksForTest thread_checks(true);
-      const Resources advised = provisioner.Advise(
-          *spark, request, OptimizationPolicy::MinimizeTime());
-      EXPECT_GE(advised.containers, 1);
+      for (int i = 0; i < 2 * kKeys; ++i) {
+        const int k = (i + t) % kKeys;  // overlapping, staggered keys
+        advised[t][k] = provisioner.Advise(*spark, request_for(k),
+                                           OptimizationPolicy::MinimizeTime());
+      }
     });
   }
   for (std::thread& t : threads) t.join();
-  EXPECT_FALSE(provisioner.last_front().empty());
-  scheduler.Shutdown();
+  for (int k = 0; k < kKeys; ++k) {
+    EXPECT_FALSE(provisioner.Front(*spark, request_for(k))->empty());
+    for (int t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(advised[t][k].ToString(), advised[0][k].ToString());
+    }
+  }
+  EXPECT_EQ(HeldCount(), 0);
 }
 
 /// Logger sink swaps race logging from worker threads; both paths now go

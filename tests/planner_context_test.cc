@@ -14,7 +14,6 @@
 #include "planner/dp_planner.h"
 #include "planner/pareto_planner.h"
 #include "planner/planner_context.h"
-#include "provisioning/nsga2.h"
 #include "threading/task_scheduler.h"
 #include "workloadgen/pegasus.h"
 
@@ -263,38 +262,6 @@ TEST(PlannerContextTest, ParetoParallelMatchesSerialBitForBit) {
     EXPECT_EQ(s.seconds, p.seconds);
     EXPECT_EQ(s.cost, p.cost);
     ExpectPlansIdentical(s.plan, p.plan);
-  }
-}
-
-TEST(PlannerContextTest, NsgaParallelMatchesSerialBitForBit) {
-  TaskScheduler scheduler(4);
-  const std::vector<std::pair<double, double>> bounds = {
-      {1.0, 8.0}, {1.0, 4.0}, {0.5, 6.0}};
-  const Nsga2::Evaluate evaluate = [](const Vector& genes) {
-    // Two smooth competing objectives over the box.
-    const double a = genes[0] * genes[1] + genes[2];
-    const double b = (8.0 - genes[0]) + genes[2] * genes[1];
-    return Vector{a, b};
-  };
-
-  Nsga2::Options serial_options;
-  serial_options.population = 24;
-  serial_options.generations = 20;
-  Nsga2::Options parallel_options = serial_options;
-  parallel_options.scheduler = &scheduler;
-
-  const auto serial_front = Nsga2(serial_options).Optimize(bounds, evaluate);
-  const auto parallel_front =
-      Nsga2(parallel_options).Optimize(bounds, evaluate);
-  ASSERT_EQ(serial_front.size(), parallel_front.size());
-  for (size_t i = 0; i < serial_front.size(); ++i) {
-    ASSERT_EQ(serial_front[i].genes.size(), parallel_front[i].genes.size());
-    for (size_t g = 0; g < serial_front[i].genes.size(); ++g) {
-      EXPECT_EQ(serial_front[i].genes[g], parallel_front[i].genes[g]);
-    }
-    for (size_t m = 0; m < serial_front[i].objectives.size(); ++m) {
-      EXPECT_EQ(serial_front[i].objectives[m], parallel_front[i].objectives[m]);
-    }
   }
 }
 

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "engines/standard_engines.h"
 #include "provisioning/resource_provisioner.h"
@@ -173,12 +177,192 @@ TEST_F(ProvisionerTest, GrowingInputGetsMoreResources) {
 
 TEST_F(ProvisionerTest, ParetoFrontExposedAndSorted) {
   const SimulatedEngine* spark = registry_->Find("Spark");
-  (void)provisioner_->Advise(*spark, TfIdfRequest(1e6),
-                             OptimizationPolicy::MinimizeTime());
-  const auto& front = provisioner_->last_front();
-  ASSERT_FALSE(front.empty());
-  for (size_t i = 1; i < front.size(); ++i) {
-    EXPECT_GE(front[i].seconds, front[i - 1].seconds);
+  const auto front = provisioner_->Front(*spark, TfIdfRequest(1e6));
+  ASSERT_FALSE(front->empty());
+  for (size_t i = 1; i < front->size(); ++i) {
+    EXPECT_GE((*front)[i].seconds, (*front)[i - 1].seconds);
+  }
+}
+
+// ------------------------------------------------------------ front memo
+
+void ExpectSameResources(const Resources& a, const Resources& b) {
+  EXPECT_EQ(a.containers, b.containers);
+  EXPECT_EQ(a.cores, b.cores);
+  EXPECT_EQ(a.memory_gb, b.memory_gb);
+}
+
+void ExpectSameFront(const NsgaResourceProvisioner::ParetoFront& a,
+                     const NsgaResourceProvisioner::ParetoFront& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ExpectSameResources(a[i].resources, b[i].resources);
+    EXPECT_EQ(a[i].seconds, b[i].seconds);
+    EXPECT_EQ(a[i].cost, b[i].cost);
+  }
+}
+
+struct GridCase {
+  std::string engine;
+  OperatorRunRequest request;
+};
+
+/// Spark (distributed-disk), Hama (distributed-memory; Pagerank over 3 GB
+/// needs 13.5 GB of its 8 GB budget under any allocation) and Java
+/// (centralized), each at two sizes and two fallback allocations.
+std::vector<GridCase> MemoGrid() {
+  const Resources fallbacks[] = {{8, 2, 2.0}, {1, 1, 1.0}};
+  const std::pair<std::string, std::vector<double>> sizes[] = {
+      {"Spark", {2e8, 5e9}}, {"Hama", {4e8, 3e9}}, {"Java", {5e7, 2e8}}};
+  std::vector<GridCase> grid;
+  for (const auto& [engine, bytes_list] : sizes) {
+    for (double bytes : bytes_list) {
+      for (const Resources& fallback : fallbacks) {
+        GridCase c;
+        c.engine = engine;
+        c.request.algorithm = engine == "Spark" ? "TF_IDF" : "Pagerank";
+        c.request.input_bytes = bytes;
+        c.request.input_records = bytes / 100.0;
+        c.request.params = {{"iterations", 3}};
+        c.request.resources = fallback;
+        grid.push_back(c);
+      }
+    }
+  }
+  return grid;
+}
+
+const OptimizationPolicy kPolicies[] = {
+    OptimizationPolicy::MinimizeTime(), OptimizationPolicy::MinimizeCost(),
+    OptimizationPolicy::Weighted(1.0, 0.001)};
+
+// The memo is exact only because a front is a pure function of its key:
+// a warm provisioner must answer every call exactly as a fresh one does.
+TEST_F(ProvisionerTest, WarmMemoMatchesFreshProvisionerExactly) {
+  const std::vector<GridCase> grid = MemoGrid();
+  for (const GridCase& c : grid) {  // warm every key, all policies
+    for (const OptimizationPolicy& policy : kPolicies) {
+      (void)provisioner_->Advise(*registry_->Find(c.engine), c.request,
+                                 policy);
+    }
+  }
+  bool saw_infeasible = false;
+  for (const GridCase& c : grid) {
+    const SimulatedEngine& engine = *registry_->Find(c.engine);
+    for (const OptimizationPolicy& policy : kPolicies) {
+      SCOPED_TRACE(c.engine + " " + std::to_string(c.request.input_bytes) +
+                   " " + c.request.resources.ToString() + " " +
+                   policy.ToString());
+      NsgaResourceProvisioner::Limits limits;
+      Nsga2::Options ga;
+      ga.population = 30;
+      ga.generations = 40;
+      NsgaResourceProvisioner fresh(limits, ga);
+      ExpectSameResources(provisioner_->Advise(engine, c.request, policy),
+                          fresh.Advise(engine, c.request, policy));
+      const auto warm_front = provisioner_->Front(engine, c.request);
+      ExpectSameFront(*warm_front, *fresh.Front(engine, c.request));
+      if (warm_front->empty()) {
+        saw_infeasible = true;
+        ExpectSameResources(provisioner_->Advise(engine, c.request, policy),
+                            c.request.resources);
+      }
+    }
+  }
+  EXPECT_TRUE(saw_infeasible) << "the grid must cover an empty front";
+}
+
+TEST(ProvisionerMemoTest, OneFrontPerKeyWhateverThePolicyOrFallback) {
+  auto registry = MakeStandardEngineRegistry();
+  const SimulatedEngine* spark = registry->Find("Spark");
+  MetricsRegistry metrics;
+  NsgaResourceProvisioner provisioner({}, {}, &metrics);
+  auto count = [&](const char* outcome) {
+    return metrics
+        .GetCounter("ires_provisioner_fronts_total", "",
+                    {{"outcome", outcome}})
+        ->Value();
+  };
+  OperatorRunRequest request;
+  request.algorithm = "TF_IDF";
+  request.input_bytes = 1e9;
+  request.input_records = 1e6;
+  const auto first = provisioner.Front(*spark, request);
+  const Resources fallbacks[] = {{1, 1, 1.0}, {8, 4, 6.0}, {2, 2, 2.0}};
+  for (int i = 0; i < 3; ++i) {
+    request.resources = fallbacks[i];
+    (void)provisioner.Advise(*spark, request, kPolicies[i]);
+  }
+  EXPECT_EQ(count("computed"), 1u);
+  EXPECT_EQ(count("hit"), 3u);
+  // A hit hands out the memoized front itself, not a copy.
+  EXPECT_EQ(provisioner.Front(*spark, request).get(), first.get());
+
+  request.input_bytes *= 1.01;  // a new key
+  EXPECT_NE(provisioner.Front(*spark, request).get(), first.get());
+  EXPECT_EQ(count("computed"), 2u);
+}
+
+TEST(ProvisionerMemoTest, CalibrationChangeRecomputesTheFront) {
+  auto registry = MakeStandardEngineRegistry();
+  SimulatedEngine* spark = registry->Find("Spark");
+  NsgaResourceProvisioner provisioner;
+  OperatorRunRequest request;
+  request.algorithm = "TF_IDF";
+  request.input_bytes = 1e9;
+  const auto before = provisioner.Front(*spark, request);
+  ASSERT_FALSE(before->empty());
+
+  spark->set_infrastructure_factor(0.5);
+  const auto faster = provisioner.Front(*spark, request);
+  ASSERT_FALSE(faster->empty());
+  EXPECT_LT(faster->front().seconds, before->front().seconds);
+
+  // Back at 1.0 the front is recomputed under a new token, and equals the
+  // original: the token names the calibration, the front is pure.
+  spark->set_infrastructure_factor(1.0);
+  const auto again = provisioner.Front(*spark, request);
+  EXPECT_NE(again.get(), before.get());
+  ExpectSameFront(*again, *before);
+}
+
+// Concurrent calls over overlapping keys (run under TSan in CI): every
+// thread must see exactly the front a serial provisioner computes.
+TEST(ProvisionerMemoTest, ConcurrentCallsOnOverlappingKeysMatchSerial) {
+  auto registry = MakeStandardEngineRegistry();
+  const SimulatedEngine* spark = registry->Find("Spark");
+  Nsga2::Options ga;
+  ga.population = 12;
+  ga.generations = 6;
+  NsgaResourceProvisioner shared({}, ga);
+  NsgaResourceProvisioner serial({}, ga);
+
+  constexpr int kKeys = 5;
+  auto request_for = [](int k) {
+    OperatorRunRequest r;
+    r.algorithm = "TF_IDF";
+    r.input_bytes = 1e8 * (k + 1);
+    return r;
+  };
+  std::vector<std::thread> threads;
+  std::vector<std::vector<std::shared_ptr<
+      const NsgaResourceProvisioner::ParetoFront>>>
+      seen(4, std::vector<std::shared_ptr<
+                  const NsgaResourceProvisioner::ParetoFront>>(kKeys));
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 3 * kKeys; ++i) {
+        const int k = (i + t) % kKeys;  // threads start on different keys
+        seen[t][k] = shared.Front(*spark, request_for(k));
+        (void)shared.Advise(*spark, request_for(k),
+                            OptimizationPolicy::MinimizeTime());
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int k = 0; k < kKeys; ++k) {
+    const auto expected = serial.Front(*spark, request_for(k));
+    for (int t = 0; t < 4; ++t) ExpectSameFront(*seen[t][k], *expected);
   }
 }
 

@@ -4,8 +4,8 @@
 // bugs only surface as races. Covers: an 8-worker steal storm, dependency
 // ordering (diamond + a 4000-node chain), help-while-wait reentrancy,
 // deterministic shutdown with pending tasks, the fake-clock backlog timer,
-// and bit-identity of ParallelFor-backed NSGA-II / ParetoPlanner results
-// against their serial paths.
+// and bit-identity of ParallelFor-backed ParetoPlanner results against its
+// serial path.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "planner/pareto_planner.h"
-#include "provisioning/nsga2.h"
 #include "telemetry/event_journal.h"
 #include "telemetry/metrics_registry.h"
 #include "threading/task_scheduler.h"
@@ -255,33 +254,6 @@ TEST(TaskSchedulerTest, ParallelForMatchesSerialLoopBitForBit) {
   for (size_t i = 0; i < kN; ++i) serial[i] = body(i);
   ParallelFor(&scheduler, kN, [&](size_t i) { parallel[i] = body(i); });
   EXPECT_EQ(serial, parallel);
-}
-
-// NSGA-II with the scheduler must reproduce the serial front exactly: the
-// parallel section only evaluates objectives into index-keyed slots.
-TEST(TaskSchedulerTest, Nsga2ParallelFrontIsBitIdenticalToSerial) {
-  TaskScheduler scheduler(4);
-  const std::vector<std::pair<double, double>> bounds = {
-      {1.0, 8.0}, {1.0, 4.0}, {0.5, 6.0}};
-  const Nsga2::Evaluate evaluate = [](const Vector& genes) {
-    const double a = genes[0] * genes[1] + genes[2];
-    const double b = (8.0 - genes[0]) + genes[2] * genes[1];
-    return Vector{a, b};
-  };
-  Nsga2::Options serial_options;
-  serial_options.population = 20;
-  serial_options.generations = 12;
-  Nsga2::Options parallel_options = serial_options;
-  parallel_options.scheduler = &scheduler;
-
-  const auto serial_front = Nsga2(serial_options).Optimize(bounds, evaluate);
-  const auto parallel_front =
-      Nsga2(parallel_options).Optimize(bounds, evaluate);
-  ASSERT_EQ(serial_front.size(), parallel_front.size());
-  for (size_t i = 0; i < serial_front.size(); ++i) {
-    EXPECT_EQ(serial_front[i].genes, parallel_front[i].genes);
-    EXPECT_EQ(serial_front[i].objectives, parallel_front[i].objectives);
-  }
 }
 
 // ParetoPlanner's parallel phase stages per-candidate results and merges in
