@@ -7,12 +7,16 @@
 // per window.
 //
 // Two modes are swept A/B:
-//   shared      one server whose TaskScheduler (N workers) runs every
-//               subsystem — job execution, SQL optimization, planner fan-out
-//   partitioned the pre-substrate architecture: a DAG server and a SQL
-//               server with private schedulers splitting the same N workers
-//               70/30, so neither stream can soak up the other's idle
-//               capacity
+//   shared      one server whose TaskScheduler (N workers) runs both job
+//               execution and model refits
+//   partitioned the pre-substrate architecture: jobs and refits on private
+//               schedulers splitting the same N workers 70/30, so neither
+//               can soak up the other's idle capacity
+//
+// By default the offered rates are fractions of a capacity estimate
+// measured at startup, which moves from run to run. `--rates a,b,...`
+// fixes them instead (requests/s, calibration skipped), so two builds can
+// be compared at the same offered load.
 //
 // Dumps BENCH_serving.json; CI runs `serving_bench --smoke`, archives the
 // file, and fails when warm_requests_per_sec regresses >20% against the
@@ -22,8 +26,10 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -95,13 +101,14 @@ std::string VaryLiteral(const std::string& query, int salt) {
 /// library, plan cache, refinement state and locks) and differ only in the
 /// execution substrate:
 ///
-///   shared      the server's TaskScheduler has all N workers and every
-///               subsystem runs on it — jobs, SQL optimization, model refits
+///   shared      the server's TaskScheduler has all N workers and runs both
+///               jobs and model refits
 ///   partitioned the pre-substrate architecture: the job service runs on a
-///               private dag_workers-thread scheduler while SQL optimization
-///               and model refits keep the server scheduler's remaining
-///               workers, so neither side can soak up the other's idle
-///               capacity
+///               private dag_workers-thread scheduler while model refits
+///               keep the server scheduler's remaining workers, so neither
+///               side can soak up the other's idle capacity
+///
+/// SQL optimization (DPccp) runs on the requesting client thread in both.
 struct ServingStack {
   std::unique_ptr<IresServer> server;
   std::unique_ptr<TaskScheduler> job_sched;  // null in shared mode
@@ -115,8 +122,7 @@ struct ServingStack {
     config.scheduler_workers = shared ? workers : sql_workers;
     // NSGA-II provisioning on, as in serving. Its GA runs serially on the
     // planning thread and each front is memoized, so a DAG job's planning
-    // spawns no scheduler tasks; SQL optimization (DPccp) and model refits
-    // still run on the scheduler.
+    // spawns no scheduler tasks; model refits still run on the scheduler.
     config.provision_resources = true;
     s.server = std::make_unique<IresServer>(config);
     ControlPlane::Options plane_options;
@@ -442,10 +448,39 @@ std::string SweepJson(const ModeReport& report) {
 
 }  // namespace
 
+/// Parses `--rates` "a,b,..." into positive requests/s; false on any
+/// malformed, non-positive or non-finite entry.
+bool ParseRates(const char* text, std::vector<double>* rates) {
+  const char* p = text;
+  while (*p != '\0') {
+    char* end = nullptr;
+    const double rate = std::strtod(p, &end);
+    if (end == p || !(rate > 0.0) || !std::isfinite(rate) ||
+        (*end != ',' && *end != '\0')) {
+      return false;
+    }
+    rates->push_back(rate);
+    p = *end == ',' ? end + 1 : end;
+  }
+  return !rates->empty();
+}
+
 int main(int argc, char** argv) {
   bool smoke = false;
+  std::vector<double> rates;  // --rates: offered rps, no calibration
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--rates") == 0 && i + 1 < argc) {
+      if (!ParseRates(argv[++i], &rates)) {
+        std::fprintf(stderr, "--rates wants positive requests/s: a,b,...\n");
+        return 2;
+      }
+    } else {
+      std::fprintf(stderr, "usage: %s [--smoke] [--rates a,b,...]\n",
+                   argv[0]);
+      return 2;
+    }
   }
 
   int workers = static_cast<int>(std::thread::hardware_concurrency());
@@ -457,21 +492,27 @@ int main(int argc, char** argv) {
 
   const std::string query = sql::MusqleQuerySet()[13];  // 2-table filtered
 
-  std::printf("calibrating capacity (workers=%d)...\n", workers);
-  double capacity = EstimateCapacityRps(workers, clients, query);
-  if (capacity <= 0.0) {
-    std::fprintf(stderr, "calibration failed\n");
-    return 1;
-  }
-  std::printf("estimated capacity ~%.1f rps\n", capacity);
+  // 0 in the JSON when --rates fixed the sweep.
+  double capacity = 0.0;
+  if (rates.empty()) {
+    std::printf("calibrating capacity (workers=%d)...\n", workers);
+    capacity = EstimateCapacityRps(workers, clients, query);
+    if (capacity <= 0.0) {
+      std::fprintf(stderr, "calibration failed\n");
+      return 1;
+    }
+    std::printf("estimated capacity ~%.1f rps\n", capacity);
 
-  // The sweep brackets the estimated capacity so the top rate demonstrably
-  // saturates and the measured saturation point is interior to the grid.
-  std::vector<double> fractions =
-      smoke ? std::vector<double>{0.3, 0.6, 1.2}
-            : std::vector<double>{0.25, 0.45, 0.65, 0.85, 1.3};
-  std::vector<double> rates;
-  for (const double f : fractions) rates.push_back(std::max(2.0, capacity * f));
+    // The sweep brackets the estimated capacity so the top rate
+    // demonstrably saturates and the measured saturation point is interior
+    // to the grid.
+    const std::vector<double> fractions =
+        smoke ? std::vector<double>{0.3, 0.6, 1.2}
+              : std::vector<double>{0.25, 0.45, 0.65, 0.85, 1.3};
+    for (const double f : fractions) {
+      rates.push_back(std::max(2.0, capacity * f));
+    }
+  }
   const double seconds_per_rate = smoke ? 1.0 : 3.0;
 
   ModeReport shared_report =

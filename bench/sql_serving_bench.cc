@@ -1,7 +1,7 @@
 // SQL serving bench: throughput of the /apiv1/sql front door over the
 // MuSQLE TPC-H query set, comparing the cold path (parse + DPccp optimize +
 // lower + DP plan) against the warm path (shape cache + plan cache), plus
-// serial-vs-parallel DPccp enumeration on the widest joins. Dumps
+// raw DPccp enumeration time on clique join graphs wider than TPC-H. Dumps
 // BENCH_sql_serving.json; CI runs `sql_serving_bench --smoke` and archives
 // the file.
 
@@ -18,7 +18,6 @@
 #include "sql/musqle_optimizer.h"
 #include "sql/sql_parser.h"
 #include "sql/tpch_queries.h"
-#include "threading/task_scheduler.h"
 
 namespace {
 
@@ -114,18 +113,12 @@ struct EnumerationResult {
   int vertices = 0;
   long long pairs = 0;
   double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-  double speedup = 0.0;
 };
 
-/// Times raw csg-cmp-pair enumeration serially vs. fanned out over the
-/// scheduler on an n-vertex clique (the emitted sequences are bit-identical;
-/// only the wall clock moves). With a trivial emit callback this measures
-/// the *cost envelope* of the bit-identity guarantee — per-seed buckets and
-/// the ordered replay are pure overhead when emission itself is free, and a
-/// clique maximally skews the per-seed work toward the lowest seed. The
-/// ratio column is what the guarantee costs at each width.
-EnumerationResult RunEnumeration(int n, int iters, TaskScheduler* scheduler) {
+/// Times raw csg-cmp-pair enumeration on an n-vertex clique — the densest
+/// join graph of that width — with a trivial emit callback, so the number
+/// is the enumeration itself.
+EnumerationResult RunEnumeration(int n, int iters) {
   EnumerationResult r;
   r.vertices = n;
   std::vector<uint32_t> adjacency(n, 0);
@@ -143,16 +136,6 @@ EnumerationResult RunEnumeration(int n, int iters, TaskScheduler* scheduler) {
     r.pairs = pairs;
   }
   r.serial_ms = (NowSeconds() - s0) * 1e3 / iters;
-
-  const double p0 = NowSeconds();
-  for (int i = 0; i < iters; ++i) {
-    long long pairs = 0;
-    sql::EnumerateCsgCmpPairsParallel(adjacency, n, scheduler,
-                                      [&](uint32_t, uint32_t) { ++pairs; });
-    r.pairs = pairs;
-  }
-  r.parallel_ms = (NowSeconds() - p0) * 1e3 / iters;
-  r.speedup = r.parallel_ms > 0 ? r.serial_ms / r.parallel_ms : 0.0;
   return r;
 }
 
@@ -202,27 +185,22 @@ int main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // Parallel-DPccp overhead sweep over clique join graphs past TPC-H size
-  // (worst case: trivial emit cost, maximal per-seed skew — the lowest seed
-  // owns every subgraph containing vertex 0).
-  TaskScheduler scheduler(4);
+  // DPccp enumeration sweep over clique join graphs past TPC-H size.
   const std::vector<int> widths = smoke ? std::vector<int>{10}
                                         : std::vector<int>{8, 10, 12, 14};
   json += "  \"enumeration\": [\n";
   first = true;
   for (const int n : widths) {
-    const EnumerationResult e = RunEnumeration(n, enum_iters, &scheduler);
-    std::printf("dpccp clique n=%-2d pairs=%-9lld serial=%8.2fms "
-                "parallel=%8.2fms  x%.2f\n",
-                e.vertices, e.pairs, e.serial_ms, e.parallel_ms, e.speedup);
+    const EnumerationResult e = RunEnumeration(n, enum_iters);
+    std::printf("dpccp clique n=%-2d pairs=%-9lld serial=%8.2fms\n",
+                e.vertices, e.pairs, e.serial_ms);
     if (!first) json += ",\n";
     first = false;
-    char ebuf[224];
+    char ebuf[160];
     std::snprintf(ebuf, sizeof(ebuf),
                   "    {\"vertices\": %d, \"pairs\": %lld, "
-                  "\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
-                  "\"speedup\": %.2f}",
-                  e.vertices, e.pairs, e.serial_ms, e.parallel_ms, e.speedup);
+                  "\"serial_ms\": %.3f}",
+                  e.vertices, e.pairs, e.serial_ms);
     json += ebuf;
   }
   json += "\n  ]\n";

@@ -17,8 +17,7 @@ namespace ires {
 /// malloc/free on the warm path, no fragmentation, one batched release.
 ///
 /// Not thread-safe: an Arena belongs to exactly one planning call on one
-/// thread (parallel phases must stage into plain containers and merge
-/// serially — see ParetoPlanner).
+/// thread.
 class Arena {
  public:
   explicit Arena(size_t first_block_bytes = 16 * 1024)

@@ -31,13 +31,9 @@ namespace ires {
 ///   anything -> MetricsRegistry -> (none)  (registration is a leaf; only
 ///                                           the Logger ranks below it)
 ///
-/// Two rules of thumb keep the table stable:
-///  1. Subsystems that *call into* other subsystems while holding their
-///     lock must outrank-precede them (appear earlier / lower).
-///  2. Never call TaskGroup::Wait / ParallelFor holding ANY ranked lock:
-///     the caller-helps waiter executes arbitrary unrelated tasks, which
-///     may acquire any rank in the table (see the scheduler's analysis
-///     boundary in DESIGN.md).
+/// One rule of thumb keeps the table stable: subsystems that *call into*
+/// other subsystems while holding their lock must outrank-precede them
+/// (appear earlier / lower).
 ///
 /// Gaps between values are deliberate — new subsystems slot in without
 /// renumbering.
@@ -93,8 +89,6 @@ enum class LockRank : int {
   kSchedulerPark = 770,
   /// TaskScheduler backlog timer (standalone, polled by healthz).
   kSchedulerBacklog = 780,
-  /// TaskGroup completion latch / inline-task list.
-  kTaskGroup = 800,
   /// EventJournal ring shard. One shard at a time (queries lock
   /// sequentially, never simultaneously).
   kEventJournalShard = 850,

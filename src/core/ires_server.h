@@ -88,9 +88,8 @@ class IresServer {
     bool provision_resources = false;
     /// Capacity of the planner-level plan cache (0 disables caching).
     size_t plan_cache_capacity = 128;
-    /// Worker threads of the shared task scheduler every subsystem
-    /// (job execution, SQL optimization, planner fan-out, model refits) runs
-    /// on; <=0 uses the hardware concurrency.
+    /// Worker threads of the shared task scheduler that job execution and
+    /// model refits run on; <=0 uses the hardware concurrency.
     int scheduler_workers = 0;
     /// Injectable clock (seconds) for the scheduler's backlog tracker —
     /// what /apiv1/healthz saturation tests march forward. Null uses the
@@ -240,9 +239,9 @@ class IresServer {
   SloMonitor& slo() { return slo_; }
 
   /// The shared work-stealing execution substrate. One instance per server:
-  /// JobService dispatch, the SQL optimizer's DPccp enumeration, planner
-  /// fan-out and model refits all run here, so a busy subsystem can soak up
-  /// the workers an idle one isn't using.
+  /// JobService dispatch and model refits both run here, so a busy
+  /// subsystem can soak up the workers an idle one isn't using. The
+  /// planners run serially on the calling thread.
   TaskScheduler& scheduler() { return *scheduler_; }
 
   /// The refined execution-time estimator for one (algorithm, engine)

@@ -112,10 +112,8 @@ Result<std::vector<ParetoPlanner::FrontierPlan>> ParetoPlanner::PlanFrontier(
   const PlannerContext& ctx = context();
   const int cap = std::max(2, options.max_frontier_size);
 
-  // The entry store and dp buckets grow only in the serial phases (init +
-  // phase-2 merge), so they can draw from a per-plan bump arena. The
-  // parallel phase 1 reads them but never mutates, and its staged
-  // containers stay heap-allocated — Arena is single-threaded by design.
+  // The entry store and dp buckets live for one plan and are only ever
+  // touched by the planning thread, so they draw from a per-plan bump arena.
   Arena plan_arena;
   using IdVec = std::vector<int, ArenaAllocator<int>>;
   std::vector<Entry, ArenaAllocator<Entry>> arena{
@@ -217,18 +215,12 @@ Result<std::vector<ParetoPlanner::FrontierPlan>> ParetoPlanner::PlanFrontier(
     snapshots[op_node] = ctx.Resolve(node.name);
     const CandidateSnapshot& candidates = snapshots[op_node];
 
-    // Phase 1 — per candidate, combine input Pareto sets and estimate runs.
-    // Touches only this op's *input* nodes, which earlier topological steps
-    // finalized, so it is read-only on dp/arena and safe to fan out. New
-    // entries are staged per candidate instead of inserted.
-    struct PendingEntry {
-      int out_node;
-      Entry entry;
-    };
-    std::vector<std::vector<PendingEntry>> staged(candidates.size());
-    ParallelFor(options.scheduler, candidates.size(), [&](size_t cand_idx) {
+    // Per candidate, combine the input Pareto sets, estimate each run and
+    // insert its output entries — in candidate-index order, which matters:
+    // dominance pruning is insertion-order sensitive on ties.
+    for (size_t cand_idx = 0; cand_idx < candidates.size(); ++cand_idx) {
       const ResolvedCandidate& cand = candidates[cand_idx];
-      if (!cand.engine_available) return;
+      if (!cand.engine_available) continue;
       const SimulatedEngine* engine = cand.engine;
 
       // Combine the inputs' Pareto sets port by port.
@@ -264,7 +256,10 @@ Result<std::vector<ParetoPlanner::FrontierPlan>> ParetoPlanner::PlanFrontier(
             next.push_back(std::move(combined));
           }
         }
-        if (next.empty()) return;  // infeasible on this candidate
+        if (next.empty()) {  // infeasible on this candidate
+          partials.clear();
+          break;
+        }
         PrunePartials(&next, cap);
         partials = std::move(next);
       }
@@ -310,17 +305,8 @@ Result<std::vector<ParetoPlanner::FrontierPlan>> ParetoPlanner::PlanFrontier(
           }
           entry.op_input_bytes = partial.bytes;
           entry.op_input_records = partial.records;
-          staged[cand_idx].push_back(PendingEntry{out_node, std::move(entry)});
+          insert_entry(out_node, std::move(entry));
         }
-      }
-    });
-
-    // Phase 2 — merge in candidate-index order. This is exactly the order
-    // the serial loop inserted in, so dominance pruning (which is
-    // insertion-order sensitive on ties) produces identical dpTables.
-    for (std::vector<PendingEntry>& pending : staged) {
-      for (PendingEntry& p : pending) {
-        insert_entry(p.out_node, std::move(p.entry));
       }
     }
   }

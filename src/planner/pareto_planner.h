@@ -13,7 +13,6 @@
 #include "planner/cost_estimator.h"
 #include "planner/execution_plan.h"
 #include "planner/planner_context.h"
-#include "threading/task_scheduler.h"
 #include "workflow/workflow_graph.h"
 
 namespace ires {
@@ -29,8 +28,7 @@ namespace ires {
 class ParetoPlanner {
  public:
   struct Options {
-    /// Cost model library; null = analytic models. Must be thread-safe for
-    /// concurrent Estimate calls when `scheduler` is set.
+    /// Cost model library; null = analytic models.
     const CostEstimator* estimator = nullptr;
     /// Frontier-size cap per dpTable bucket; larger = finer frontier,
     /// slower planning. Pruning keeps the extremes plus evenly spread
@@ -38,11 +36,6 @@ class ParetoPlanner {
     int max_frontier_size = 16;
     /// Replanning support, as in DpPlanner.
     std::map<std::string, DatasetInstance> materialized_intermediates;
-    /// When set, per-candidate input combination and cost estimation fan
-    /// out across the scheduler. The result is bit-identical to the serial
-    /// path: the parallel phase only reads the dpTable, and entries are
-    /// merged in candidate-index order afterwards.
-    TaskScheduler* scheduler = nullptr;
   };
 
   /// One frontier plan with its objective vector.

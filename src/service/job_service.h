@@ -300,7 +300,7 @@ class JobService {
   /// Jobs the scheduler refuses (shut down) are cancelled on the spot, so
   /// no record is ever stranded in QUEUED. Enqueueing under mu_ is safe:
   /// TaskScheduler::Submit only takes scheduler locks (all ranked above
-  /// kJobService) and never blocks in TaskGroup::Wait.
+  /// kJobService) and never runs or waits on a task.
   void DispatchLocked() REQUIRES(mu_);
   /// Closes out a job reaching a terminal state while holding mu_:
   /// timestamps, the terminal counter, the duration histogram and the idle

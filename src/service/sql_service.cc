@@ -36,18 +36,11 @@ const char* SqlOutcomeLabel(StatusCode code, bool parsed) {
 
 SqlService::SqlService(IresServer* server, Options options)
     : server_(server),
-      options_(options),
       catalog_(sql::MakeTpchCatalog(options.tpch_scale_gb, "PostgreSQL",
                                     "MemSQL", "SparkSQL")),
       engines_(sql::MakeStandardSqlEngines()) {
-  if (options_.optimizer_threads > 0 &&
-      options_.optimizer.scheduler == nullptr) {
-    options_.optimizer.scheduler = options_.scheduler != nullptr
-                                       ? options_.scheduler
-                                       : &server_->scheduler();
-  }
   optimizer_ = std::make_unique<sql::MusqleOptimizer>(&catalog_, &engines_,
-                                                      options_.optimizer);
+                                                      options.optimizer);
   MetricsRegistry& metrics = server_->metrics();
   shape_hits_ = metrics.GetCounter(
       "ires_sql_shape_cache_hits_total",

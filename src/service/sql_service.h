@@ -15,7 +15,6 @@
 #include "sql/musqle_optimizer.h"
 #include "sql/sql_engine.h"
 #include "telemetry/metrics_registry.h"
-#include "threading/task_scheduler.h"
 
 namespace ires {
 
@@ -41,12 +40,6 @@ class SqlService {
   struct Options {
     /// TPC-H catalog scale (GB) behind the federated fleet.
     double tpch_scale_gb = 10.0;
-    /// Degree of parallel DPccp enumeration (0 = enumerate serially on
-    /// the caller). Plans are bit-identical either way.
-    int optimizer_threads = 4;
-    /// Execution substrate for the enumeration fan-out; null uses the
-    /// server's shared scheduler (when optimizer_threads > 0).
-    TaskScheduler* scheduler = nullptr;
     sql::MusqleOptimizer::Options optimizer;
   };
 
@@ -86,14 +79,12 @@ class SqlService {
 
  private:
   IresServer* server_;
-  Options options_;
   sql::Catalog catalog_;
   std::map<std::string, std::unique_ptr<sql::SqlEngine>> engines_;
   std::unique_ptr<sql::MusqleOptimizer> optimizer_;
 
   /// Guards only the shape cache; the miss path (parse, optimize, lower)
-  /// runs between the probe and the insert, so the optimizer's scheduler
-  /// fan-out never happens under this lock.
+  /// runs between the probe and the insert, never under this lock.
   mutable Mutex mu_{LockRank::kSqlShapeCache, "sql.shape_cache"};
   std::map<std::string, PreparedQuery> shape_cache_ GUARDED_BY(mu_);
 

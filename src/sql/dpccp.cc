@@ -1,9 +1,5 @@
 #include "sql/dpccp.h"
 
-#include <utility>
-
-#include "threading/task_scheduler.h"
-
 namespace ires::sql {
 
 namespace {
@@ -35,8 +31,7 @@ void EnumerateCsgRec(const std::vector<uint32_t>& adjacency, uint32_t seed,
 }
 
 // All csg-cmp-pairs whose csg grew from the start vertex `v` — one
-// iteration of the serial outer loop. Independent of every other start
-// vertex, which is what the parallel variant exploits.
+// iteration of the outer loop.
 void EnumerateForSeed(const std::vector<uint32_t>& adjacency, int n, int v,
                       const std::function<void(uint32_t, uint32_t)>& emit) {
   // EnumerateCmp for one csg S1: complements are connected sets seeded at
@@ -75,30 +70,6 @@ void EnumerateCsgCmpPairs(
     const std::function<void(uint32_t, uint32_t)>& emit) {
   for (int v = n - 1; v >= 0; --v) {
     EnumerateForSeed(adjacency, n, v, emit);
-  }
-}
-
-void EnumerateCsgCmpPairsParallel(
-    const std::vector<uint32_t>& adjacency, int n, TaskScheduler* scheduler,
-    const std::function<void(uint32_t, uint32_t)>& emit) {
-  if (scheduler == nullptr || n <= 1) {
-    EnumerateCsgCmpPairs(adjacency, n, emit);
-    return;
-  }
-  // One bucket per start vertex, filled concurrently; index i holds the
-  // pairs of seed v = n-1-i, the i-th seed of the serial loop.
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> buckets(
-      static_cast<size_t>(n));
-  ParallelFor(scheduler, static_cast<size_t>(n), [&](size_t i) {
-    const int v = n - 1 - static_cast<int>(i);
-    EnumerateForSeed(adjacency, n, v, [&](uint32_t s1, uint32_t s2) {
-      buckets[i].emplace_back(s1, s2);
-    });
-  });
-  // Replay in serial seed order — the concatenation is bit-identical to
-  // what EnumerateCsgCmpPairs would have emitted.
-  for (const auto& bucket : buckets) {
-    for (const auto& [s1, s2] : bucket) emit(s1, s2);
   }
 }
 

@@ -5,10 +5,6 @@
 #include <functional>
 #include <vector>
 
-namespace ires {
-class TaskScheduler;
-}  // namespace ires
-
 namespace ires::sql {
 
 /// Enumerates all csg-cmp-pairs of a connected join graph (Moerkotte &
@@ -23,17 +19,6 @@ namespace ires::sql {
 /// The callback receives (csg, cmp) bitmasks.
 void EnumerateCsgCmpPairs(
     const std::vector<uint32_t>& adjacency, int n,
-    const std::function<void(uint32_t, uint32_t)>& emit);
-
-/// Parallel variant: the serial outer loop over start vertices (v = n-1..0)
-/// decomposes into independent per-seed enumerations, which run across
-/// `scheduler` via ParallelFor into per-seed buckets. Buckets are replayed
-/// to `emit` in the serial seed order, so the emitted pair sequence is
-/// bit-identical to EnumerateCsgCmpPairs — callers may swap the two freely.
-/// A null scheduler degrades to the serial enumeration. `emit` is only ever
-/// invoked from the calling thread.
-void EnumerateCsgCmpPairsParallel(
-    const std::vector<uint32_t>& adjacency, int n, TaskScheduler* scheduler,
     const std::function<void(uint32_t, uint32_t)>& emit);
 
 /// Number of connected subgraphs of the graph (used by tests and to size

@@ -418,10 +418,9 @@ Result<SqlPlan> MusqleOptimizer::Optimize(const Query& query,
       // DPccp emits each pair exactly once but not in subset-size order;
       // sort by the union's population so the DP sees sub-plans first.
       std::vector<std::pair<uint32_t, uint32_t>> pairs;
-      EnumerateCsgCmpPairsParallel(rq.adjacency, n, options_.scheduler,
-                                   [&](uint32_t s1, uint32_t s2) {
-                                     pairs.emplace_back(s1, s2);
-                                   });
+      EnumerateCsgCmpPairs(rq.adjacency, n, [&](uint32_t s1, uint32_t s2) {
+        pairs.emplace_back(s1, s2);
+      });
       std::sort(pairs.begin(), pairs.end(),
                 [](const auto& a, const auto& b) {
                   const int pa = __builtin_popcount(a.first | a.second);

@@ -12,10 +12,6 @@
 #include "sql/sql_engine.h"
 #include "sql/sql_parser.h"
 
-namespace ires {
-class TaskScheduler;
-}  // namespace ires
-
 namespace ires::sql {
 
 /// One node of a multi-engine SQL execution plan.
@@ -82,11 +78,6 @@ class MusqleOptimizer {
     double explain_call_seconds = 2e-3;
     double inject_call_seconds = 5e-4;
     Enumeration enumeration = Enumeration::kDpccp;
-    /// When set, kDpccp enumeration fans out across this scheduler
-    /// (per-seed buckets, replayed in serial order — plans stay
-    /// bit-identical to the serial enumeration). Null keeps everything on
-    /// the calling thread.
-    TaskScheduler* scheduler = nullptr;
   };
 
   MusqleOptimizer(const Catalog* catalog,

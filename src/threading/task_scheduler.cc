@@ -1,7 +1,6 @@
 #include "threading/task_scheduler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 
 namespace ires {
@@ -9,10 +8,9 @@ namespace ires {
 namespace {
 
 // Worker-thread identity: which scheduler (if any) owns the current thread,
-// and its worker index there. Lets Enqueue push straight onto the local
-// deque, and lets TaskGroup::Wait help-execute with proper attribution even
-// when called from inside a task. Workers of *another* scheduler instance
-// resolve to "external" for this one.
+// and its worker index there. Lets Enqueue push a task submitted from inside
+// a task straight onto the local deque. Workers of *another* scheduler
+// instance resolve to "external" for this one.
 thread_local TaskScheduler* tls_scheduler = nullptr;
 thread_local int tls_worker = -1;
 
@@ -118,12 +116,6 @@ Task* WorkDeque::Steal() {
   return task;
 }
 
-size_t WorkDeque::ApproxSize() const {
-  const int64_t b = bottom_.load(std::memory_order_relaxed);
-  const int64_t t = top_.load(std::memory_order_relaxed);
-  return b > t ? static_cast<size_t>(b - t) : 0;
-}
-
 }  // namespace sched_internal
 
 // ------------------------------------------------------------ TaskScheduler
@@ -169,7 +161,6 @@ TaskScheduler::TaskScheduler(Options options)
   workers_.reserve(workers);
   for (int i = 0; i < workers; ++i) {
     auto worker = std::make_unique<Worker>();
-    worker->steal_seed = 0x9e3779b97f4a7c15ull * (i + 1) + 1;
     if (options.metrics != nullptr) {
       worker->runs_total = options.metrics->GetCounter(
           "ires_sched_worker_runs_total", "Tasks executed, per worker",
@@ -225,8 +216,7 @@ void TaskScheduler::NotifyOne() {
 }
 
 TaskScheduler::Task* TaskScheduler::TryAcquire(int worker_index) {
-  Task* task = nullptr;
-  if (worker_index >= 0) task = workers_[worker_index]->deque.Pop();
+  Task* task = workers_[worker_index]->deque.Pop();
   if (task == nullptr) {
     MutexLock lock(inject_mu_);
     if (!inject_.empty()) {
@@ -234,7 +224,7 @@ TaskScheduler::Task* TaskScheduler::TryAcquire(int worker_index) {
       inject_.pop_front();
     }
   }
-  if (task == nullptr && !workers_.empty()) {
+  if (task == nullptr) {
     // Steal sweep: one full pass over the other workers starting from a
     // per-thread pseudo-random offset (xorshift), so thieves spread out.
     thread_local uint64_t steal_rng = 0x2545f4914f6cdd1dull;
@@ -271,11 +261,9 @@ void TaskScheduler::Execute(Task* task, int worker_index) {
   task->fn();
   executed_.fetch_add(1, std::memory_order_relaxed);
   if (executed_total_ != nullptr) executed_total_->Increment();
-  if (worker_index >= 0) {
-    Worker& worker = *workers_[worker_index];
-    worker.runs.fetch_add(1, std::memory_order_relaxed);
-    if (worker.runs_total != nullptr) worker.runs_total->Increment();
-  }
+  Worker& worker = *workers_[worker_index];
+  worker.runs.fetch_add(1, std::memory_order_relaxed);
+  if (worker.runs_total != nullptr) worker.runs_total->Increment();
   if (span) {
     JournalEvent event;
     event.kind = EventKind::kTaskSpan;
@@ -283,18 +271,7 @@ void TaskScheduler::Execute(Task* task, int worker_index) {
     event.detail = task->label;
     journal_->Append(std::move(event));
   }
-  // Fire successors before settling the group: outstanding_ still counts
-  // them, so the group cannot be destroyed under us either way, but this
-  // order gets ready work onto the deques before any waiter wakes.
-  TaskGroup* group = task->group;
-  for (Task* successor : task->successors) {
-    if (successor->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      group->Dispatch(successor);
-    }
-  }
-  const bool detached = task->detached;
-  if (detached) delete task;
-  if (group != nullptr) group->OnTaskFinished();
+  delete task;
 }
 
 void TaskScheduler::WorkerLoop(int index) {
@@ -334,7 +311,6 @@ bool TaskScheduler::Submit(std::function<void()> fn,
                            const std::string& label) {
   Task* task = new Task();
   task->fn = std::move(fn);
-  task->detached = true;
   task->label = label;
   if (!Enqueue(task)) {
     delete task;
@@ -402,175 +378,6 @@ double TaskScheduler::BacklogSeconds() {
   const double now = ClockSeconds();
   if (backlog_since_ < 0.0) backlog_since_ = now;
   return now - backlog_since_;
-}
-
-// ---------------------------------------------------------------- TaskGroup
-
-TaskGroup::TaskGroup(TaskScheduler* scheduler) : scheduler_(scheduler) {}
-
-TaskGroup::~TaskGroup() { Wait(); }
-
-TaskGroup::TaskId TaskGroup::Defer(std::function<void()> fn,
-                                   const std::string& label) {
-  assert(!launched_ && "Defer after Launch");
-  auto task = std::make_unique<Task>();
-  task->fn = std::move(fn);
-  task->group = this;
-  task->label = label;
-  tasks_.push_back(std::move(task));
-  return static_cast<TaskId>(tasks_.size()) - 1;
-}
-
-void TaskGroup::DependsOn(TaskId task, TaskId prerequisite) {
-  assert(!launched_ && "DependsOn after Launch");
-  assert(task != prerequisite);
-  tasks_[prerequisite]->successors.push_back(tasks_[task].get());
-  tasks_[task]->prerequisites += 1;
-  tasks_[task]->pending.fetch_add(1, std::memory_order_relaxed);
-}
-
-void TaskGroup::Launch() {
-  assert(!launched_ && "Launch called twice");
-  launched_ = true;
-  // Count everything before dispatching anything, or a fast worker could
-  // drive outstanding_ through zero while roots are still being enqueued.
-  outstanding_.fetch_add(static_cast<int64_t>(tasks_.size()),
-                         std::memory_order_acq_rel);
-  for (const auto& task : tasks_) {
-    // Roots by *static* in-degree. Reading the live pending counter here
-    // would race already-dispatched predecessors driving a successor's
-    // count to zero mid-loop and dispatch that task twice.
-    if (task->prerequisites == 0) {
-      Dispatch(task.get());
-    }
-  }
-}
-
-void TaskGroup::Run(std::function<void()> fn, const std::string& label) {
-  auto task = std::make_unique<Task>();
-  task->fn = std::move(fn);
-  task->group = this;
-  task->label = label;
-  Task* raw = task.get();
-  {
-    MutexLock lock(done_mu_);
-    tasks_.push_back(std::move(task));
-  }
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  Dispatch(raw);
-}
-
-void TaskGroup::Dispatch(Task* task) {
-  if (scheduler_ == nullptr || !scheduler_->Enqueue(task)) {
-    PushInline(task);
-  }
-}
-
-void TaskGroup::PushInline(Task* task) {
-  MutexLock lock(done_mu_);
-  inline_ready_.push_back(task);
-  done_cv_.notify_all();
-}
-
-TaskGroup::Task* TaskGroup::PopInline() {
-  MutexLock lock(done_mu_);
-  if (inline_ready_.empty()) return nullptr;
-  Task* task = inline_ready_.front();
-  inline_ready_.pop_front();
-  return task;
-}
-
-void TaskGroup::ExecuteInline(Task* task) {
-  task->fn();
-  for (Task* successor : task->successors) {
-    if (successor->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      Dispatch(successor);
-    }
-  }
-  OnTaskFinished();
-}
-
-void TaskGroup::OnTaskFinished() {
-  // The decrement happens under done_mu_ and Wait only *returns* while
-  // holding done_mu_ after observing zero — so a waiter that sees the group
-  // finished also knows this (last) finisher has released the mutex and
-  // will never touch the group again. Without that pairing, Wait could
-  // return (and the group be destroyed) while the finisher is still inside
-  // the notify, a use-after-free on done_mu_.
-  MutexLock lock(done_mu_);
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    done_cv_.notify_all();
-  }
-}
-
-void TaskGroup::Wait() {
-  for (;;) {
-    if (outstanding_.load(std::memory_order_acquire) == 0) {
-      // Lock-synchronized re-check; see OnTaskFinished.
-      MutexLock lock(done_mu_);
-      if (outstanding_.load(std::memory_order_acquire) == 0) return;
-      continue;
-    }
-    // Help: our own refused/inline tasks first (they exist nowhere else),
-    // then anything runnable in the scheduler — possibly tasks of an
-    // unrelated group. This is why scheduler tasks must not block
-    // indefinitely (the substrate contract, see the class comment): a
-    // helper runs whatever it acquires, and a task that parks forever
-    // would wedge the waiter with it.
-    Task* task = PopInline();
-    if (task != nullptr) {
-      if (scheduler_ != nullptr) {
-        scheduler_->Execute(task, scheduler_->CurrentWorkerIndex());
-      } else {
-        ExecuteInline(task);
-      }
-      continue;
-    }
-    if (scheduler_ != nullptr) {
-      task = scheduler_->TryAcquire(scheduler_->CurrentWorkerIndex());
-      if (task != nullptr) {
-        scheduler_->Execute(task, scheduler_->CurrentWorkerIndex());
-        continue;
-      }
-    }
-    MutexLock lock(done_mu_);
-    if (outstanding_.load(std::memory_order_acquire) == 0) return;
-    if (!inline_ready_.empty()) continue;
-    // Short timed wait: our remaining tasks are running on workers (or
-    // queued behind other groups' work we cannot see from here) — re-poll
-    // rather than risk a missed notify during heavy churn.
-    done_cv_.wait_for(done_mu_, std::chrono::milliseconds(1));
-  }
-}
-
-// -------------------------------------------------------------- ParallelFor
-
-void ParallelFor(TaskScheduler* scheduler, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (n == 0) return;
-  if (scheduler == nullptr || n == 1 || scheduler->worker_count() == 0) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Indices are claimed from one shared counter by the helpers and the
-  // caller, so results depend only on the index each claim returns — writes
-  // keyed by index are bit-identical to a serial run no matter how the
-  // claims interleave. The caller always drains too: even with zero helpers
-  // running (workers busy, or scheduler shut down and every helper refused
-  // onto the inline list), the loop completes on this thread.
-  std::atomic<size_t> next{0};
-  auto drain = [&next, &fn, n] {
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-    }
-  };
-  const size_t helpers =
-      std::min<size_t>(static_cast<size_t>(scheduler->worker_count()), n - 1);
-  TaskGroup group(scheduler);
-  for (size_t h = 0; h < helpers; ++h) group.Run(drain);
-  drain();
-  group.Wait();
 }
 
 }  // namespace ires

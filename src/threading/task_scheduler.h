@@ -18,9 +18,6 @@
 
 namespace ires {
 
-class TaskScheduler;
-class TaskGroup;
-
 namespace sched_internal {
 
 struct Task;
@@ -55,9 +52,6 @@ class WorkDeque {
   /// Any thread: take the oldest task; null when empty or lost a race.
   Task* Steal() NO_THREAD_SAFETY_ANALYSIS;
 
-  /// Approximate (racy) size — telemetry only.
-  size_t ApproxSize() const;
-
  private:
   struct Ring {
     explicit Ring(size_t capacity);
@@ -84,57 +78,40 @@ class WorkDeque {
   std::vector<std::unique_ptr<Ring>> retired_;
 };
 
-/// One schedulable node. Graph tasks are owned by their TaskGroup; detached
-/// tasks (TaskScheduler::Submit) own themselves and are deleted after
-/// running.
+/// One submitted task. It owns itself: Execute deletes it after running.
 struct Task {
   std::function<void()> fn;
-  /// Predecessors not yet finished; the task becomes runnable when this
-  /// reaches zero. Counts down at runtime — dispatch decisions at Launch
-  /// must use `prerequisites` (the static in-degree), because a fast
-  /// predecessor can drive this to zero while Launch is still iterating,
-  /// and reading it there would double-dispatch the task.
-  std::atomic<int> pending{0};
-  /// Static in-degree, fixed before Launch. Zero = root task.
-  int prerequisites = 0;
-  std::vector<Task*> successors;
-  TaskGroup* group = nullptr;  // null for detached tasks
-  bool detached = false;
   /// Non-empty labels get a flight-recorder task span on completion.
   std::string label;
-  double enqueued_at = 0.0;  // steady seconds at ready time
+  double enqueued_at = 0.0;  // steady seconds at enqueue time
 };
 
 }  // namespace sched_internal
 
 /// The shared execution substrate of the serving stack: a work-stealing
-/// task scheduler with one Chase–Lev deque per worker, dependency-counted
-/// task nodes and a caller-helps wait primitive (TaskGroup). Planner
-/// fan-outs, job execution, SQL optimization and model refits all run here
-/// instead of fighting over per-subsystem pools — a blocked waiter executes
-/// tasks instead of sleeping, so the substrate is work-conserving under any
-/// mix of workloads.
+/// task scheduler with one Chase–Lev deque per worker. Submit is the only
+/// way in, and every task is detached: job execution (`job.run`) and
+/// background model refits (`model.refit`) are its production callers. The
+/// planners — Algorithm 1's DP, the Pareto DP, NSGA-II and MuSQLE's DPccp —
+/// are serial searches and run on the calling thread.
 ///
 /// Scheduling policy: a worker pops its own deque LIFO (locality), then
 /// drains the external injection queue, then steals FIFO from a random
 /// victim. Workers that find nothing park on a condition variable and are
 /// woken by the next enqueue. External threads (REST handlers, tests,
-/// benchmark drivers) submit through a mutex-guarded injection queue and
-/// help-execute when they wait on a TaskGroup.
+/// benchmark clients) submit through a mutex-guarded injection queue; a
+/// task submitted from a worker goes onto that worker's own deque.
 ///
-/// Substrate contract: tasks must not block indefinitely. A waiting thread
-/// helps by running whatever it acquires — including tasks of unrelated
-/// groups — so a task that parks forever wedges its helper too. Bounded
-/// waits (a job step simulating I/O) are fine; open-ended ones belong on a
-/// dedicated thread, not the scheduler.
+/// A task holds its worker until it returns and no other thread ever runs
+/// or waits on it, so a task that blocks (a job step simulating I/O) costs
+/// exactly one worker of capacity. Open-ended waits belong on a dedicated
+/// thread, not the scheduler.
 ///
 /// Shutdown semantics: Shutdown() stops admission *deterministically* —
 /// every Submit after it returns false and journals a `task_rejected`
 /// event; tasks already queued are drained by the workers before they
 /// join (nothing is silently dropped, fixing the old ThreadPool window
 /// where Submit during the drain dropped tasks while workers still ran).
-/// TaskGroup work is never lost even across Shutdown: refused group tasks
-/// fall back to an inline list their waiter executes.
 ///
 /// Telemetry (when built with a MetricsRegistry):
 ///   ires_sched_steals_total        successful steals
@@ -203,29 +180,26 @@ class TaskScheduler {
   double BacklogSeconds() EXCLUDES(backlog_mu_);
 
  private:
-  friend class TaskGroup;
   using Task = sched_internal::Task;
 
   struct Worker {
     sched_internal::WorkDeque deque;
     std::atomic<uint64_t> runs{0};
     Counter* runs_total = nullptr;
-    uint64_t steal_seed = 0;
   };
 
   void WorkerLoop(int index);
-  /// Enqueues a ready task: own deque on a worker thread, injection queue
+  /// Enqueues a task: own deque on a worker thread, injection queue
   /// otherwise. Returns false (task untouched) after Shutdown.
   bool Enqueue(Task* task) EXCLUDES(gate_, inject_mu_, park_mu_);
-  /// Dequeues one task for `worker_index` (own pop → inject → steal), or
-  /// for an external helper (worker_index < 0: inject → steal).
+  /// Dequeues one task for worker `worker_index`: own pop → inject → steal.
   Task* TryAcquire(int worker_index) EXCLUDES(inject_mu_);
-  /// Runs a task, fires successors, settles group/detached accounting.
+  /// Runs a task on worker `worker_index`, counts it and deletes it.
   void Execute(Task* task, int worker_index);
   void NotifyOne() EXCLUDES(park_mu_);
   double ClockSeconds() const;
-  /// This thread's worker index in *this* scheduler, or -1 (external
-  /// helper — including workers of a different scheduler instance).
+  /// This thread's worker index in *this* scheduler, or -1 (an external
+  /// thread — including workers of a different scheduler instance).
   int CurrentWorkerIndex() const;
 
   const size_t backlog_per_worker_;
@@ -268,108 +242,6 @@ class TaskScheduler {
   Gauge* pending_gauge_ = nullptr;
   Histogram* wait_seconds_ = nullptr;
 };
-
-/// A batch of tasks with optional dependency edges, waited on as a unit.
-/// The waiting caller *helps*: instead of sleeping it executes tasks —
-/// its own group's refused/inline tasks first, then anything runnable in
-/// the scheduler — so a caller blocked in Wait can never deadlock the
-/// substrate, and Wait() makes progress even when every worker is busy or
-/// the scheduler has shut down. Reentrant: a task may itself create a
-/// TaskGroup and Wait on it.
-///
-/// Usage (graph):
-///   TaskGroup group(&scheduler);
-///   auto a = group.Defer(fa); auto b = group.Defer(fb);
-///   auto d = group.Defer(fd);
-///   group.DependsOn(d, a); group.DependsOn(d, b);
-///   group.Launch();
-///   group.Wait();
-/// Usage (flat): group.Run(fn) any number of times, then Wait().
-class TaskGroup {
- public:
-  using TaskId = int;
-
-  /// A null scheduler degrades gracefully: every task lands on the inline
-  /// list and Wait() runs them on the caller in dependency order (queued,
-  /// not recursed — a 100k-node chain cannot overflow the stack).
-  explicit TaskGroup(TaskScheduler* scheduler);
-
-  /// Waits for all tasks; never throws.
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Creates a dependency-counted node (not yet runnable). Only valid
-  /// before Launch().
-  TaskId Defer(std::function<void()> fn, const std::string& label = "");
-
-  /// Declares that `task` runs only after `prerequisite` finished. Only
-  /// valid before Launch().
-  void DependsOn(TaskId task, TaskId prerequisite);
-
-  /// Freezes the graph and enqueues every task with no pending
-  /// prerequisites. Call at most once.
-  void Launch();
-
-  /// Submits one independent task (usable before or after Launch, and for
-  /// plain fan-out without Defer/Launch).
-  void Run(std::function<void()> fn, const std::string& label = "")
-      EXCLUDES(done_mu_);
-
-  /// Blocks until every task in the group has finished, executing tasks
-  /// (help) instead of sleeping whenever any are runnable. Reentrant.
-  /// Never call Wait (or ParallelFor) while holding ANY ranked mutex: the
-  /// caller helps by executing arbitrary unrelated tasks, which may
-  /// acquire any rank in the table — the lock-rank registry turns such a
-  /// call into a deterministic abort instead of a latent deadlock.
-  void Wait() EXCLUDES(done_mu_);
-
-  /// Tasks not yet finished (telemetry/tests).
-  int64_t outstanding() const {
-    return outstanding_.load(std::memory_order_acquire);
-  }
-
- private:
-  friend class TaskScheduler;
-  using Task = sched_internal::Task;
-
-  /// Called by the scheduler (or inline execution) when one task finishes.
-  void OnTaskFinished() EXCLUDES(done_mu_);
-  /// Fallback for tasks the scheduler refused (shutdown) — the waiter runs
-  /// them inline, preserving the no-work-lost guarantee.
-  void PushInline(Task* task) EXCLUDES(done_mu_);
-  Task* PopInline() EXCLUDES(done_mu_);
-  /// Routes a ready task to the scheduler or the inline list.
-  void Dispatch(Task* task);
-  /// Runs a task on the caller without a scheduler (null-scheduler groups).
-  void ExecuteInline(Task* task);
-
-  TaskScheduler* scheduler_;
-  /// Not GUARDED_BY(done_mu_): Defer/DependsOn/Launch run in the owner's
-  /// single-threaded setup phase by contract (asserted via launched_);
-  /// after Launch only Run appends, and it does lock done_mu_ because it
-  /// may race the scheduler's Execute reading task pointers.
-  std::vector<std::unique_ptr<Task>> tasks_;
-  bool launched_ = false;
-  std::atomic<int64_t> outstanding_{0};
-  Mutex done_mu_{LockRank::kTaskGroup, "sched.group"};
-  std::condition_variable_any done_cv_;
-  std::deque<Task*> inline_ready_ GUARDED_BY(done_mu_);
-};
-
-/// Runs `fn(0) .. fn(n-1)` across the scheduler, blocking until every index
-/// has finished — a thin shim over a TaskGroup. Indices are claimed from a
-/// shared atomic counter by up to worker_count helper tasks plus the calling
-/// thread, so the call makes progress (degrading to serial on the caller)
-/// even when every worker is busy or the scheduler has shut down — it can
-/// never deadlock on itself. A null scheduler runs everything inline.
-///
-/// `fn` is invoked concurrently and must be thread-safe; writes keyed by
-/// index keep results deterministic (bit-identical to a serial run)
-/// regardless of scheduling.
-void ParallelFor(TaskScheduler* scheduler, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace ires
 

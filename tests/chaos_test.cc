@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chaos/chaos_scheduler.h"
@@ -310,7 +313,7 @@ TEST(ChaosSoakTest, SoakIsDeterministicUnderAFixedSeed) {
 // breaker state, so the assertions are the order-free invariants: every
 // job terminal, every record internally consistent, the shared registry
 // still healthy, and the metric sums equal to the per-record sums. CI runs
-// this under ThreadSanitizer.
+// this under ThreadSanitizer, repeated.
 TEST(ChaosSoakTest, ConcurrentChaosJobsStayConsistent) {
   constexpr int kJobs = 48;
 
@@ -325,11 +328,31 @@ TEST(ChaosSoakTest, ConcurrentChaosJobsStayConsistent) {
   JobService::Options options;
   options.workers = 4;
   options.queue_capacity = kJobs;
+  // Every dispatched job parks at the plan-phase probe until all kJobs are
+  // admitted. Otherwise the first jobs' injected crashes can suspend both
+  // Spark and scikit mid-loop, and admission then rightly refuses the rest
+  // (WF012: every bound engine suspended). A parked job still holds its
+  // queue slot, which queue_capacity = kJobs leaves room for.
+  std::atomic<bool> all_admitted{false};
   JobService jobs(&server, options);
+  jobs.set_phase_probe([&all_admitted](const std::string&, int, char phase) {
+    if (phase != 'p') return;
+    while (!all_admitted.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::vector<Status> admissions;
   for (int i = 0; i < kJobs; ++i) {
-    auto id = jobs.Submit(w.graph, "text", OptimizationPolicy::MinimizeTime(),
-                          SoakOptions(9000 + static_cast<uint64_t>(i)));
-    ASSERT_TRUE(id.ok()) << id.status();
+    admissions.push_back(
+        jobs.Submit(w.graph, "text", OptimizationPolicy::MinimizeTime(),
+                    SoakOptions(9000 + static_cast<uint64_t>(i)))
+            .status());
+  }
+  // Open the gate before asserting, so a failed admission cannot leave
+  // parked jobs for ~JobService to wait on forever.
+  all_admitted.store(true, std::memory_order_release);
+  for (const Status& admission : admissions) {
+    ASSERT_TRUE(admission.ok()) << admission;
   }
   ASSERT_TRUE(jobs.WaitForIdle(300.0));
 

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "sql/dpccp.h"
-#include "threading/task_scheduler.h"
 
 namespace ires::sql {
 namespace {
@@ -120,52 +119,6 @@ TEST(DpccpTest, CliqueCsgCountIsAllSubsets) {
     for (int b = a + 1; b < 6; ++b) edges.emplace_back(a, b);
   }
   EXPECT_EQ(CountConnectedSubgraphs(MakeAdjacency(6, edges), 6), 63);
-}
-
-// The parallel enumeration must not just produce the same *set* of pairs —
-// the emitted *sequence* must be bit-identical to the serial one, because
-// the optimizer's tie-breaking (and thus the chosen plan) depends on
-// emission order.
-TEST(DpccpTest, ParallelEmissionSequenceIsBitIdenticalToSerial) {
-  TaskScheduler scheduler(4);
-  Rng rng(42);
-  for (int round = 0; round < 12; ++round) {
-    const int n = static_cast<int>(rng.UniformInt(1, 8));
-    std::vector<std::pair<int, int>> edges;
-    for (int v = 1; v < n; ++v) {
-      edges.emplace_back(v, static_cast<int>(rng.UniformInt(0, v - 1)));
-    }
-    const int extra = static_cast<int>(rng.UniformInt(0, n));
-    for (int e = 0; e < extra; ++e) {
-      const int a = static_cast<int>(rng.UniformInt(0, n - 1));
-      const int b = static_cast<int>(rng.UniformInt(0, n - 1));
-      if (a != b) edges.emplace_back(a, b);
-    }
-    const auto adjacency = MakeAdjacency(n, edges);
-
-    std::vector<std::pair<uint32_t, uint32_t>> serial, parallel;
-    EnumerateCsgCmpPairs(adjacency, n, [&](uint32_t s1, uint32_t s2) {
-      serial.emplace_back(s1, s2);
-    });
-    EnumerateCsgCmpPairsParallel(adjacency, n, &scheduler,
-                                 [&](uint32_t s1, uint32_t s2) {
-                                   parallel.emplace_back(s1, s2);
-                                 });
-    EXPECT_EQ(serial, parallel) << "round " << round << " n=" << n;
-  }
-}
-
-TEST(DpccpTest, ParallelWithNullPoolDegradesToSerial) {
-  const auto adjacency = MakeAdjacency(4, {{0, 1}, {1, 2}, {2, 3}});
-  std::vector<std::pair<uint32_t, uint32_t>> serial, fallback;
-  EnumerateCsgCmpPairs(adjacency, 4, [&](uint32_t s1, uint32_t s2) {
-    serial.emplace_back(s1, s2);
-  });
-  EnumerateCsgCmpPairsParallel(adjacency, 4, nullptr,
-                               [&](uint32_t s1, uint32_t s2) {
-                                 fallback.emplace_back(s1, s2);
-                               });
-  EXPECT_EQ(serial, fallback);
 }
 
 class DpccpRandomTest : public ::testing::TestWithParam<int> {};

@@ -272,10 +272,10 @@ TEST(SweepRegressionTest, OperatorLibraryMoveAssignUnderRankChecks) {
 }
 
 /// Advise used to hold the provisioner mutex across the pooled GA run —
-/// a ranked lock held through TaskGroup::Wait. The GA now runs serially
-/// with no lock held, and the front memo takes its lock only for one
-/// lookup and one insert. With the registry live, concurrent Advise calls
-/// on overlapping keys must pass cleanly and agree on every answer.
+/// a ranked lock held while waiting on scheduler tasks. The GA now runs
+/// serially with no lock held, and the front memo takes its lock only for
+/// one lookup and one insert. With the registry live, concurrent Advise
+/// calls on overlapping keys must pass cleanly and agree on every answer.
 TEST(SweepRegressionTest, ProvisionerMemoAdviseUnderRankChecks) {
   ScopedChecksForTest checks(true);
   std::unique_ptr<EngineRegistry> registry = MakeStandardEngineRegistry();

@@ -1,7 +1,7 @@
 // PlannerContext: memoized candidate resolution, invalidation on library /
 // engine-registry version bumps, snapshot safety across RemoveByEngine,
-// concurrency (exercised under TSan in CI), parallel-planner determinism,
-// and the deep-chain reconstruction regression.
+// concurrency (exercised under TSan in CI) and the deep-chain
+// reconstruction regression.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "planner/dp_planner.h"
 #include "planner/pareto_planner.h"
 #include "planner/planner_context.h"
-#include "threading/task_scheduler.h"
 #include "workloadgen/pegasus.h"
 
 namespace ires {
@@ -221,48 +220,6 @@ TEST(PlannerContextTest, ConcurrentRegisterAndPlanStaysConsistent) {
   mutator.join();
   for (std::thread& t : planners) t.join();
   EXPECT_GT(planned.load(), 0);
-}
-
-// ---- Determinism of the parallel paths. ------------------------------------
-
-void ExpectPlansIdentical(const ExecutionPlan& a, const ExecutionPlan& b) {
-  EXPECT_EQ(a.ToString(), b.ToString());
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    EXPECT_EQ(a.steps[i].deps, b.steps[i].deps);
-    EXPECT_EQ(a.steps[i].params, b.steps[i].params);
-    EXPECT_EQ(a.steps[i].estimated_seconds, b.steps[i].estimated_seconds);
-    EXPECT_EQ(a.steps[i].estimated_cost, b.steps[i].estimated_cost);
-  }
-  EXPECT_EQ(a.estimated_seconds, b.estimated_seconds);
-  EXPECT_EQ(a.estimated_cost, b.estimated_cost);
-  EXPECT_EQ(a.metric, b.metric);
-}
-
-TEST(PlannerContextTest, ParetoParallelMatchesSerialBitForBit) {
-  GeneratedWorkload w = MakeWorkload(32, 6);
-  EngineRegistry registry;
-  PegasusGenerator::RegisterSyntheticEngines(&registry, 6);
-  TaskScheduler scheduler(4);
-
-  ParetoPlanner planner(&w.library, &registry);
-  ParetoPlanner::Options serial;
-  ParetoPlanner::Options parallel;
-  parallel.scheduler = &scheduler;
-
-  auto serial_frontier = planner.PlanFrontier(w.graph, serial);
-  auto parallel_frontier = planner.PlanFrontier(w.graph, parallel);
-  ASSERT_TRUE(serial_frontier.ok()) << serial_frontier.status();
-  ASSERT_TRUE(parallel_frontier.ok()) << parallel_frontier.status();
-
-  ASSERT_EQ(serial_frontier.value().size(), parallel_frontier.value().size());
-  for (size_t i = 0; i < serial_frontier.value().size(); ++i) {
-    const auto& s = serial_frontier.value()[i];
-    const auto& p = parallel_frontier.value()[i];
-    EXPECT_EQ(s.seconds, p.seconds);
-    EXPECT_EQ(s.cost, p.cost);
-    ExpectPlansIdentical(s.plan, p.plan);
-  }
 }
 
 // ---- Deep-chain regression: reconstruction must not recurse. ---------------

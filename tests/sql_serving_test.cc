@@ -20,6 +20,7 @@
 #include "sql/lowering.h"
 #include "sql/sql_parser.h"
 #include "sql/tpch_queries.h"
+#include "threading/task_scheduler.h"
 
 namespace ires {
 namespace {
@@ -165,6 +166,22 @@ TEST(SqlServiceTest, RejectionsCarryStructuredDiagnostics) {
   ASSERT_FALSE(bad_table.ok());
   ASSERT_EQ(diagnostics.size(), 1u);
   EXPECT_EQ(diagnostics[0].code, diag::kSqlUnknownName);
+}
+
+// MuSQLE's DPccp enumeration is a serial search on the calling thread: a
+// cold Prepare of a six-table join puts no task on the shared scheduler.
+TEST(SqlServiceTest, ColdPrepareRunsNothingOnTheScheduler) {
+  IresServer server;
+  SqlService svc(&server);
+  const TaskScheduler::Stats before = server.scheduler().stats();
+  std::vector<Diagnostic> diagnostics;
+  auto prepared = svc.Prepare(sql::MusqleQuerySet()[16], &diagnostics);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  EXPECT_FALSE(prepared.value().shape_cache_hit);
+  EXPECT_GE(prepared.value().join_ops, 5);
+  const TaskScheduler::Stats after = server.scheduler().stats();
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.executed, before.executed);
 }
 
 // --------------------------------------------------------- REST: /apiv1/sql
